@@ -36,7 +36,9 @@ def _add_common(sub, with_samples=True, with_series=True):
                      help="working digits A (default n+4; env POLYLOGP_PRECISION)")
     if with_samples:
         sub.add_argument("--samples", type=int, default=None)
-        sub.add_argument("--seed", type=int, default=matrix.DEFAULT_SEED)
+        sub.add_argument("--seed", type=int, default=None,
+                         help="sampling seed (default: the replayed seed, else "
+                         f"{matrix.DEFAULT_SEED})")
         sub.add_argument("--jobs", type=int, default=1)
         sub.add_argument("--replay", type=str, default=None,
                          help="JSON report or sample record to re-execute")
@@ -96,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = checks.add_parser("all")
     sub.add_argument("--matrix", choices=("small", "full"), default="small")
-    sub.add_argument("--seed", type=int, default=matrix.DEFAULT_SEED)
+    sub.add_argument("--seed", type=int, default=None,
+                     help=f"sampling seed (default {matrix.DEFAULT_SEED})")
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -137,6 +140,14 @@ def _require(args, replay_params, key, default=None):
     return value
 
 
+def _seed(args, replay_params=None) -> int:
+    """An explicit --seed, else the replayed report's seed, else the default."""
+    for value in (getattr(args, "seed", None), (replay_params or {}).get("seed")):
+        if value is not None:
+            return value
+    return matrix.DEFAULT_SEED
+
+
 def _sampled_check(args, fn, needs_n=True, extra=None):
     replay_params, points = ({}, None)
     if getattr(args, "replay", None):
@@ -147,7 +158,7 @@ def _sampled_check(args, fn, needs_n=True, extra=None):
         "k": _require(args, replay_params, "k", 1),
         "samples": args.samples if args.samples is not None else
         replay_params.get("samples", 20),
-        "seed": getattr(args, "seed", None) or replay_params.get("seed", 0),
+        "seed": _seed(args, replay_params),
         "A": args.precision if args.precision is not None else
         replay_params.get("A", _env_int("POLYLOGP_PRECISION")),
         "jobs": args.jobs,
@@ -218,7 +229,7 @@ def dispatch(args) -> dict:
                 raise ConfigError("missing required parameter --p/--n")
             return coleman.check_g_valuations(
                 args.p, args.n, args.k or 1, count=args.count,
-                seed=args.seed, A=args.precision, m=args.riemann_m, M=args.order,
+                seed=_seed(args), A=args.precision, m=args.riemann_m, M=args.order,
             )
         if check == "identities":
             return identities.identities_report(nmax=args.nmax)
@@ -229,7 +240,7 @@ def dispatch(args) -> dict:
             progress = None
             if args.format == "text":
                 progress = lambda rep: print(report_mod.text_summary(rep))  # noqa: E731
-            return matrix.run_matrix(args.matrix, seed=args.seed, jobs=args.jobs,
+            return matrix.run_matrix(args.matrix, seed=_seed(args), jobs=args.jobs,
                                      progress=progress)
         raise ConfigError(f"unknown check {check!r}")
 

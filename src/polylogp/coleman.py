@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .finite_poly import FpkElement, li_finite, sigma
 from .identities import a_coeffs
@@ -35,13 +34,6 @@ from .padic_core import (
 from .power_series import TruncSeries
 from .rng import SplitMix64
 from . import report as report_mod
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
-_VECTOR_THRESHOLD = 20_000  # below this many cells the plain loop wins
 
 
 def default_precision(n: int) -> int:
@@ -121,74 +113,12 @@ def measure_value(z: WittApprox, a: int, m: int) -> WittApprox:
     return z**a * (ctx.one() - z ** (ctx.p**m)).inv()
 
 
-# -- coefficient tables for the Riemann sums ----------------------------------
-
-_np_table_cache: dict = {"key": None, "inv": None, "tables": {}}
-
-
-def _np_coeff_table(p: int, m: int, n: int):
-    """x -> x^{-n} mod p^m on [0, p^m), zero on multiples of p (numpy int64).
-
-    The inverse table is built once per (p, m) with a Fermat power mod p and
-    vectorized Newton lifting; higher weights are one multiply each.
-    """
-    key = (p, m)
-    if _np_table_cache["key"] != key:
-        _np_table_cache["key"] = key
-        _np_table_cache["inv"] = None
-        _np_table_cache["tables"] = {}
-    tables = _np_table_cache["tables"]
-    if n in tables:
-        return tables[n]
-    P = p**m
-    if _np_table_cache["inv"] is None:
-        arr = _np.arange(P, dtype=_np.int64)
-        x = arr % p
-        # x^{p-2} mod p on the residues
-        result = _np.ones(P, dtype=_np.int64)
-        e = p - 2
-        while e:
-            if e & 1:
-                result = result * x % p
-            x = x * x % p
-            e >>= 1
-        result[arr % p == 0] = 0
-        digits = 1
-        while digits < m:
-            digits = min(2 * digits, m)
-            pm = p**digits
-            ax = arr % pm * result % pm
-            result = result * (2 - ax) % pm
-        _np_table_cache["inv"] = result
-    inv = _np_table_cache["inv"]
-    if n == 0:
-        tables[0] = (inv != 0).astype(_np.int64)
-    elif n == 1:
-        tables[1] = inv
-    else:
-        tables[n] = _np_coeff_table(p, m, n - 1) * inv % P
-    return tables[n]
-
-
-@lru_cache(maxsize=32)
-def _py_coeff_table(p: int, m: int, n: int) -> tuple:
-    P = p**m
-    return tuple(
-        pow(a, -n, P) if a % p else 0 for a in range(P)
-    )
-
-
-def _int64_safe(p: int, A: int, m: int) -> bool:
-    pA = p**A
-    return 2 * pA * pA + pA * p < 2**62 and (p**m) * pA < 2**62
-
-
 class PolylogEvaluator:
     """Caches and drives polylogarithm computation for one context.
 
     ``riemann_m`` fixes the measure-sum modulus (certified error p^-m);
-    ``max_weight`` is the largest weight the run needs, so one pass over a
-    point's measure cells serves every weight at once.
+    ``max_weight`` is the largest weight the run needs, so one measure-sum
+    evaluation per point serves every weight at once.
     """
 
     def __init__(
@@ -233,99 +163,101 @@ class PolylogEvaluator:
         if n < 0:
             raise ValueError("weight must be >= 0")
         m = self.m if m is None else m
+        if m < 1:
+            raise ValueError("riemann modulus must be >= 1")
         key = (z.scale, z.coeffs, z.prec, m)
         cached = self._lip.setdefault(key, {})
         if n not in cached:
             want = set(range(0, max(n, self.max_weight) + 1)) - set(cached)
             want.add(n)
-            sums = self._measure_sums(z, sorted(want), m)
             ctx = self.ctx
-            inv_factor = (ctx.one() - z ** (ctx.p**m)).inv()
+            sums, inv_cell = self._measure_sums(z, sorted(want), m)
+            inv_factor = ctx.make(0, inv_cell, z.prec)  # 1/(1 - z^{p^m})
             certified = min(m, z.prec)
             for nn, vec in sums.items():
                 raw = ctx.make(0, vec, ctx.A)
                 cached[nn] = (raw * inv_factor).cap_abs(certified)
         return PolylogValue(n, cached[n])
 
-    def _measure_sums(self, z: WittApprox, ns: list, m: int) -> dict:
+    def _measure_sums(self, z: WittApprox, ns: list, m: int) -> tuple:
+        """S_n = sum_{p∤a<p^m} a^{-n} z^a mod p^min(m,A) for each n in ns.
+
+        Writing a = a0 + p t (0 < a0 < p, 0 <= t < T = p^{m-1}),
+        (a0 + pt)^{-n} = a0^{-n} sum_{j<m} C(-n,j) (pt/a0)^j exactly mod p^m,
+        so S_n = sum_j C(-n,j) p^j G_j H_{n+j} with
+        G_j = sum_{t<T} t^j y^t (y = z^p, shared by every weight) and
+        H_e = sum_{a0<p} a0^{-e} z^{a0}.  As 1 - y is a unit on the locus,
+        the G_j follow from the telescoping recurrence
+        (1-y) G_j = sum_{i<j} C(j,i)(-1)^{j-i+1} G_i + (-1)^j - (T-1)^j y^T,
+        where y^T = z^{p^m}.  Cost O(p m + m^2) ring ops.
+
+        Returns the S_n as coefficient vectors mod p^A, and 1/(1 - z^{p^m})
+        mod p^A, the denominator of the cell measure.
+        """
         ctx = self.ctx
         if z.scale != 0:
             raise ValueError("measure requires a unit z")
         if residue(z).is_zero() or residue(z).is_one():
             raise ValueError("measure requires |z| = |z-1| = 1")
-        P = ctx.p**m
-        use_np = (
-            _np is not None
-            and ctx.k <= 2
-            and P >= _VECTOR_THRESHOLD
-            and _int64_safe(ctx.p, ctx.A, m)
-        )
-        if use_np:
-            return self._measure_sums_np(z, ns, m)
-        return self._measure_sums_py(z, ns, m)
-
-    def _measure_sums_py(self, z: WittApprox, ns: list, m: int) -> dict:
-        ctx = self.ctx
         p, pA, k = ctx.p, ctx.pA, ctx.k
-        P = p**m
-        tables = {n: _py_coeff_table(p, m, n) for n in ns}
-        acc = {n: [0] * k for n in ns}
+        mul = ctx.vec_mul
+        one = (1,) + (0,) * (k - 1)
         zvec = z.coeffs
-        power = (1,) + (0,) * (k - 1)
-        for a in range(1, P):
-            power = ctx.vec_mul(power, zvec, pA)
-            if a % p == 0:
-                continue
-            for n in ns:
-                c = tables[n][a]
-                row = acc[n]
-                for i in range(k):
-                    row[i] = (row[i] + c * power[i]) % pA
-        return {n: tuple(acc[n]) for n in ns}
-
-    def _measure_sums_np(self, z: WittApprox, ns: list, m: int) -> dict:
-        ctx = self.ctx
-        p, pA, k = ctx.p, ctx.pA, ctx.k
-        m1 = (m + 1) // 2
-        P1, P2 = p**m1, p ** (m - m1)
-        zvec = z.coeffs
-        # z^r for r < P1, one column per basis coordinate
-        ztab = _np.empty((P1, k), dtype=_np.int64)
-        cur = (1,) + (0,) * (k - 1)
-        for r in range(P1):
-            ztab[r] = cur
-            cur = ctx.vec_mul(cur, zvec, pA)
-        zP1 = cur
-        # Z^q for q < P2
-        Ztab = _np.empty((P2, k), dtype=_np.int64)
-        cur = (1,) + (0,) * (k - 1)
-        for q in range(P2):
-            Ztab[q] = cur
-            cur = ctx.vec_mul(cur, zP1, pA)
-        # a plain integer matmul is safe when row sums cannot overflow int64
-        direct = (p**m - 1) * (pA - 1) * P1 < 2**63
-        out = {}
+        z_pows = [zvec]  # z^{a0} for 0 < a0 < p
+        for _ in range(p - 2):
+            z_pows.append(mul(z_pows[-1], zvec, pA))
+        y = mul(z_pows[-1], zvec, pA)
+        # G_0 = sum_{t<T} y^t one base-p digit of T at a time:
+        # sum_{t<pS} y^t = sum_{t<S} y^t * sum_{s<p} y^{sS}
+        g0, y_s = one, y
+        for _ in range(m - 1):
+            block, term = list(one), one
+            for _ in range(p - 1):
+                term = mul(term, y_s, pA)
+                block = [b + c for b, c in zip(block, term)]
+            g0 = mul(g0, tuple(c % pA for c in block), pA)
+            y_s = mul(term, y_s, pA)
+        z_top = y_s  # y^T = z^{p^m}
+        one_minus_top = ((1 - z_top[0]) % pA,) + tuple(-c % pA for c in z_top[1:])
+        inv_cell = ctx.vec_inv(one_minus_top, ctx.A)
+        # (1 - y) G_0 = 1 - y^T
+        inv_one_minus_y = mul(g0, inv_cell, pA)
+        T = p ** (m - 1)
+        J = min(m, ctx.A)  # p^j vanishes mod p^A from j = A on
+        G = [g0]
+        for j in range(1, J):
+            rhs = [(-1) ** j] + [0] * (k - 1)
+            for i, g in enumerate(G):
+                c = math.comb(j, i) * (-1) ** (j - i + 1)
+                for r in range(k):
+                    rhs[r] += c * g[r]
+            top = pow(T - 1, j, pA)
+            for r in range(k):
+                rhs[r] -= top * z_top[r]
+            G.append(mul(tuple(c % pA for c in rhs), inv_one_minus_y, pA))
+        H = {}
+        invs = [pow(a0, -1, pA) for a0 in range(1, p)]
+        lo = min(ns)
+        scalars = [pow(c, lo, pA) for c in invs]
+        for e in range(lo, max(ns) + J):
+            acc = [0] * k
+            for c, zv in zip(scalars, z_pows):
+                for r in range(k):
+                    acc[r] += c * zv[r]
+            H[e] = tuple(c % pA for c in acc)
+            scalars = [c * iv % pA for c, iv in zip(scalars, invs)]
+        sums = {}
         for n in ns:
-            ctab = _np_coeff_table(p, m, n).reshape(P2, P1)
-            if direct:
-                inner = (ctab @ ztab) % pA
-            else:
-                inner = _np.empty((P2, k), dtype=_np.int64)
-                for c in range(k):
-                    prods = ctab * ztab[:, c][None, :] % pA
-                    inner[:, c] = prods.sum(axis=1) % pA
-            if k == 1:
-                total = (int((inner[:, 0] * Ztab[:, 0] % pA).sum()) % pA,)
-            else:
-                h0, h1 = ctx.h[0], ctx.h[1]
-                a0, a1 = inner[:, 0], inner[:, 1]
-                b0, b1 = Ztab[:, 0], Ztab[:, 1]
-                t = a1 * b1 % pA
-                c0 = (a0 * b0 % pA - t * h0) % pA
-                c1 = (a0 * b1 % pA + a1 * b0 % pA - t * h1) % pA
-                total = (int(c0.sum()) % pA, int(c1.sum()) % pA)
-            out[n] = total
-        return out
+            acc = [0] * k
+            binom = 1  # C(-n, j)
+            for j in range(J if n else 1):  # C(0, j) = 0 for j > 0
+                c = binom * p**j
+                prod = mul(G[j], H[n + j], pA)
+                for r in range(k):
+                    acc[r] += c * prod[r]
+                binom = binom * (-n - j) // (j + 1)
+            sums[n] = tuple(c % pA for c in acc)
+        return sums, inv_cell
 
     # -- Teichmuller closed formula ---------------------------------------------
 

@@ -444,26 +444,6 @@ class WittApprox:
         return f"Witt({p}^{self.scale}*({body}) + O({p}^{self.abs_prec}))"
 
 
-def add(a: WittApprox, b: WittApprox) -> WittApprox:
-    return a + b
-
-
-def mul(a: WittApprox, b: WittApprox) -> WittApprox:
-    return a * b
-
-
-def neg(a: WittApprox) -> WittApprox:
-    return -a
-
-
-def inv(a: WittApprox) -> WittApprox:
-    return a.inv()
-
-
-def div(a: WittApprox, b: WittApprox) -> WittApprox:
-    return a / b
-
-
 def teichmuller(ctx: UnramifiedCtx, a: FpkElement) -> WittApprox:
     """Root of unity congruent to ``a``: the fixed point of x -> x^{p^k}.
 

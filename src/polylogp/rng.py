@@ -26,13 +26,21 @@ class SplitMix64:
         return (z ^ (z >> 31)) & _MASK
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection sampling."""
+        """Uniform integer in [0, bound) by rejection sampling.
+
+        Each candidate is ceil(bits/64) words, most significant first; a
+        bound up to 2^64 draws one word per candidate.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
-        # largest multiple of bound that fits in 64 bits
-        limit = (1 << 64) - ((1 << 64) % bound)
+        words = max(1, -(-(bound - 1).bit_length() // 64))
+        span = 1 << (64 * words)
+        # largest multiple of bound that fits in the candidate's bits
+        limit = span - span % bound
         while True:
-            x = self.next_u64()
+            x = 0
+            for _ in range(words):
+                x = (x << 64) | self.next_u64()
             if x < limit:
                 return x % bound
 

@@ -3,6 +3,9 @@
 import json
 
 from polylogp.cli import main
+from polylogp.matrix import DEFAULT_SEED
+
+from test_rng import deadline
 
 
 def run(capsys, *argv):
@@ -167,3 +170,50 @@ def test_trace_emits_series_diagnostics(capsys):
                        "--samples", "2", "--seed", "2", "--trace")
     assert code == 0
     assert "disc-series" in err
+
+
+def test_replayed_report_keeps_its_seed(tmp_path, capsys):
+    argv = ["verify", "theorem", "--p", "7", "--n", "2", "--samples", "4",
+            "--seed", "5", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code2, out2, _ = run(capsys, "verify", "theorem", "--replay", str(path),
+                         "--format", "json")
+    assert code2 == 0
+    assert out2 == out
+
+
+def test_seed_zero_is_recorded(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "theorem", "--p", "5", "--n", "2",
+                       "--samples", "2", "--seed", "5", "--format", "json")
+    assert code == 0
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    # an explicit --seed 0 wins over the replayed seed
+    code, out, _ = run(capsys, "verify", "theorem", "--replay", str(path),
+                       "--seed", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"]["seed"] == 0
+    code, out, _ = run(capsys, "verify", "all", "--matrix", "small", "--seed", "0",
+                       "--format", "json")
+    assert json.loads(out)["params"]["seed"] == 0
+
+
+def test_default_seed_is_recorded(capsys):
+    code, out, _ = run(capsys, "verify", "proposition1", "--p", "5", "--n", "1",
+                       "--samples", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"]["seed"] == DEFAULT_SEED
+
+
+def test_large_precision_theorem_finishes(capsys):
+    # A=17 once fell back to a 13^6-cell loop; A=18 made p^A pass 2^64
+    for precision in ("17", "18"):
+        with deadline(60):
+            code, out, _ = run(capsys, "verify", "theorem", "--p", "13", "--n", "4",
+                               "-A", precision, "--samples", "4", "--format", "json")
+        assert code == 0, precision
+        report = json.loads(out)
+        assert report["pass"] and report["params"]["A"] == int(precision)

@@ -119,16 +119,6 @@ def test_riemann_m_consistency():
         assert (small - large).is_zero_to(2)
 
 
-def test_vectorized_pass_matches_pure_pass():
-    ctx = make_ctx(13, 2, 6)
-    ev = PolylogEvaluator(ctx, 4, max_weight=3)
-    rng = SplitMix64(6)
-    x = sample_xpoint(ev, rng)
-    assert ev._measure_sums_np(x.z, [0, 1, 2, 3], 4) == ev._measure_sums_py(
-        x.z, [0, 1, 2, 3], 4
-    )
-
-
 # -- Teichmuller closed formula ---------------------------------------------------
 
 

@@ -1,0 +1,140 @@
+"""The closed-form measure sum against the direct Riemann loop and against
+Coleman's inversion and distribution relations for Li^(p)_n."""
+
+from fractions import Fraction
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from polylogp.coleman import PolylogEvaluator
+from polylogp.padic_core import make_ctx, residue, teichmuller
+
+PRIMES = (3, 5, 7, 11, 13)
+WEIGHTS = (0, 1, 2, 3, 4)
+
+
+def direct_measure_sums(ctx, z, ns, m):
+    """Oracle: sum_{p∤a<p^m} (a^{-n} mod p^m) z^a over every cell, mod p^A.
+
+    O(p^m) ring ops.  It agrees with the closed form mod p^min(m, A) only:
+    both are the same Riemann sum mod p^m, written differently.
+    """
+    p, pA, k = ctx.p, ctx.pA, ctx.k
+    P = p**m
+    tables = {n: [pow(a, -n, P) if a % p else 0 for a in range(P)] for n in ns}
+    acc = {n: [0] * k for n in ns}
+    power = (1,) + (0,) * (k - 1)
+    for a in range(1, P):
+        power = ctx.vec_mul(power, z.coeffs, pA)
+        if a % p == 0:
+            continue
+        for n in ns:
+            c = tables[n][a]
+            row = acc[n]
+            for i in range(k):
+                row[i] = (row[i] + c * power[i]) % pA
+    return {n: tuple(acc[n]) for n in ns}
+
+
+def locus_point(ctx, t, lift):
+    """A unit z with residue from_int(t) (not 0 or 1) and higher digits ``lift``."""
+    zbar = ctx.residue_field.from_int(t)
+    vec = tuple((c + ctx.p * d) % ctx.pA for c, d in zip(zbar.coeffs, lift))
+    return ctx.make(0, vec, ctx.A)
+
+
+@st.composite
+def fields(draw, max_k=3, min_A=1):
+    p = draw(st.sampled_from(PRIMES))
+    k = draw(st.integers(1, max_k))
+    A = draw(st.integers(min_A, 6))
+    return p, k, A
+
+
+@st.composite
+def points(draw, p, k, A):
+    t = draw(st.integers(2, p**k - 1))
+    lift = tuple(draw(st.integers(0, p ** (A - 1))) for _ in range(k))
+    return t, lift
+
+
+@st.composite
+def measure_cases(draw):
+    p, k, A = draw(fields())
+    m = draw(st.integers(1, 4))
+    t, lift = draw(points(p, k, A))
+    return p, k, A, m, t, lift
+
+
+def _certified_equal(a, b) -> bool:
+    digits = min(a.abs_prec, b.abs_prec)
+    assert digits >= 1
+    return (a - b).is_zero_to(digits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(measure_cases())
+@example((3, 1, 4, 4, 2, (5,)))
+@example((3, 3, 2, 4, 17, (1, 0, 2)))  # m > A
+@example((13, 2, 3, 4, 100, (7, 11)))
+@example((5, 2, 5, 1, 7, (3, 9)))
+def test_closed_form_matches_direct_loop(case):
+    p, k, A, m, t, lift = case
+    ctx = make_ctx(p, k, A)
+    z = locus_point(ctx, t, lift)
+    ev = PolylogEvaluator(ctx, m, max_weight=max(WEIGHTS))
+    ref = direct_measure_sums(ctx, z, WEIGHTS, m)
+    inv_cell = (ctx.one() - z ** (p**m)).inv()
+    certified = min(m, z.prec)
+    for n in WEIGHTS:
+        expected = (ctx.make(0, ref[n], A) * inv_cell).cap_abs(certified)
+        assert ev.li_p_riemann(z, n).value == expected, n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_inversion_relation(data):
+    # Li^(p)_n(1/z) = (-1)^{n+1} Li^(p)_n(z)
+    p, k, A = data.draw(fields(min_A=2))
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.sampled_from(WEIGHTS))
+    ctx = make_ctx(p, k, A)
+    z = locus_point(ctx, *data.draw(points(p, k, A)))
+    ev = PolylogEvaluator(ctx, m, max_weight=n)
+    direct = ev.li_p_riemann(z, n).value
+    inverted = ev.li_p_riemann(z.inv(), n).value
+    sign = ctx.from_int((-1) ** (n + 1))
+    assert _certified_equal(inverted, sign * direct)
+
+
+def _roots_of_unity(ctx, N):
+    """Teichmuller lifts of the N-th roots of unity in F_{p^k}, N | p^k - 1."""
+    field = ctx.residue_field
+    e = (field.order - 1) // N
+    roots = {}
+    for u in field.units():
+        r = u**e
+        roots[r.coeffs] = r
+        if len(roots) == N:
+            break
+    return [teichmuller(ctx, r) for r in roots.values()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_distribution_relation(data):
+    # sum_{zeta^N = 1} Li^(p)_n(zeta z) = N^{1-n} Li^(p)_n(z^N), p ∤ N
+    p, k, A = data.draw(fields(max_k=2, min_A=2))
+    q = p**k
+    N = data.draw(st.sampled_from([d for d in range(2, 13) if (q - 1) % d == 0]))
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.sampled_from(WEIGHTS))
+    ctx = make_ctx(p, k, A)
+    z = locus_point(ctx, *data.draw(points(p, k, A)))
+    assume(not (residue(z) ** N).is_one())
+    ev = PolylogEvaluator(ctx, m, max_weight=n)
+    lhs = ctx.exact_zero()
+    for zeta in _roots_of_unity(ctx, N):
+        lhs = lhs + ev.li_p_riemann(zeta * z, n).value
+    rhs = ctx.from_rational(Fraction(N) ** (1 - n)) * ev.li_p_riemann(z**N, n).value
+    assert _certified_equal(lhs, rhs)
