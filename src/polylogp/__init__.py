@@ -19,7 +19,6 @@ The package has two arithmetic layers and a verification layer on top:
 from .padic_core import (
     UnramifiedCtx,
     WittApprox,
-    PadicApprox,
     PrecisionError,
     make_ctx,
     teichmuller,
@@ -34,7 +33,6 @@ from . import identities
 __all__ = [
     "UnramifiedCtx",
     "WittApprox",
-    "PadicApprox",
     "PrecisionError",
     "make_ctx",
     "teichmuller",

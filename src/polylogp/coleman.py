@@ -32,6 +32,7 @@ from .padic_core import (
     teichmuller,
 )
 from .power_series import TruncSeries
+from .report import sample_w, sample_zbar
 from .rng import SplitMix64
 from . import report as report_mod
 
@@ -411,20 +412,6 @@ class PolylogEvaluator:
 # -- sampling ---------------------------------------------------------------------
 
 
-def sample_zbar(ctx: UnramifiedCtx, rng: SplitMix64) -> FpkElement:
-    """Uniform residue avoiding 0 and 1."""
-    t = 2 + rng.below(ctx.p**ctx.k - 2)
-    return ctx.residue_field.from_int(t)
-
-
-def sample_w(ctx: UnramifiedCtx, rng: SplitMix64) -> WittApprox:
-    """Uniform integral disc coordinate mod p^A."""
-    vec = tuple(rng.below(ctx.pA) for _ in range(ctx.k))
-    if all(c == 0 for c in vec):
-        return ctx.exact_zero()
-    return ctx.make(0, vec, ctx.A)
-
-
 def sample_xpoint(ev: PolylogEvaluator, rng: SplitMix64) -> XPoint:
     return ev.xpoint(sample_zbar(ev.ctx, rng), sample_w(ev.ctx, rng))
 
@@ -453,67 +440,48 @@ def verify_theorem(
     the same residue and different disc coordinates to witness that the
     reduction is independent of w.
     """
-    if p <= n + 1:
-        raise report_mod.ConfigError(f"theorem needs p > n+1, got p={p}, n={n}")
+    report_mod.check_weight("theorem", p, n, 2, gap=1)
     A = default_precision(n) if A is None else A
     m = default_riemann_m(n) if m is None else m
+    M = default_series_order(p, n, A) if M is None else M
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n, series_order=M, trace=trace)
-    rng = SplitMix64(seed)
 
-    def reduction(x: XPoint):
-        df = ev.df_n_at(x, n)
-        val_ok = df.value.valuation_ge(n - 1)
-        return val_ok, residue(df.value.shift(1 - n))
+    def reduction(zbar: FpkElement, w: WittApprox):
+        df = ev.df_n_at(ev.xpoint(zbar, w), n)
+        return df.value.valuation_ge(n - 1), residue(df.value.shift(1 - n))
 
-    def one_sample(i: int) -> dict:
-        if points is not None:
-            zbar, w = report_mod.point_from_record(ctx, points[i])
-        else:
-            r = rng.fork(i)
-            zbar, w = sample_zbar(ctx, r), sample_w(ctx, r)
-        x = ev.xpoint(zbar, w)
-        rec = {"index": i, "zbar": list(zbar.coeffs), "w": w.to_record()}
-        try:
-            val_ok, lhs = reduction(x)
-            rhs = li_finite(n - 1, sigma(zbar))
-            rec["valuationOk"] = val_ok
-            rec["lhsResidue"] = list(lhs.coeffs)
-            rec["rhsResidue"] = list(rhs.coeffs)
-            rec["pass"] = val_ok and lhs == rhs
-        except PrecisionError as e:
-            rec["precisionShortfall"] = str(e)
-            rec["pass"] = False
-        return rec
+    def measure(zbar: FpkElement, w: WittApprox) -> dict:
+        val_ok, lhs = reduction(zbar, w)
+        rhs = li_finite(n - 1, sigma(zbar))
+        return {"valuationOk": val_ok, "lhsResidue": list(lhs.coeffs),
+                "rhsResidue": list(rhs.coeffs), "pass": val_ok and lhs == rhs}
 
-    count = len(points) if points is not None else samples
-    records = report_mod.run_samples(count, one_sample, jobs)
-    # w-independence: same residue, two different disc coordinates
-    zbar0 = ctx.residue_field.element(records[0]["zbar"])
-    w1 = sample_w(ctx, rng.fork(count))
-    w2 = sample_w(ctx, rng.fork(count + 1))
-    bump = 2
-    while w2.eq_to_prec(w1):
-        w2 = sample_w(ctx, rng.fork(count + bump))
-        bump += 1
-    _, r1 = reduction(ev.xpoint(zbar0, w1))
-    _, r2 = reduction(ev.xpoint(zbar0, w2))
-    windep = {
-        "zbar": list(zbar0.coeffs),
-        "w1": w1.to_record(),
-        "w2": w2.to_record(),
-        "residue1": list(r1.coeffs),
-        "residue2": list(r2.coeffs),
-        "pass": r1 == r2,
-    }
-    return report_mod.assemble(
-        "theorem",
-        {"p": p, "n": n, "k": k, "A": A, "m": m,
-         "M": M if M is not None else default_series_order(p, n, A),
-         "samples": count, "seed": seed},
-        ctx,
-        records,
-        extra={"wIndependence": windep, "pass": windep["pass"]},
+    def w_independence(records: list, rng: SplitMix64) -> dict:
+        # same residue, two different disc coordinates
+        count = len(records)
+        zbar0 = ctx.residue_field.element(records[0]["zbar"])
+        w1 = sample_w(ctx, rng.fork(count))
+        w2 = sample_w(ctx, rng.fork(count + 1))
+        bump = 2
+        while w2.eq_to_prec(w1):
+            w2 = sample_w(ctx, rng.fork(count + bump))
+            bump += 1
+        _, r1 = reduction(zbar0, w1)
+        _, r2 = reduction(zbar0, w2)
+        windep = {
+            "zbar": list(zbar0.coeffs),
+            "w1": w1.to_record(),
+            "w2": w2.to_record(),
+            "residue1": list(r1.coeffs),
+            "residue2": list(r2.coeffs),
+            "pass": r1 == r2,
+        }
+        return {"wIndependence": windep, "pass": windep["pass"]}
+
+    return report_mod.sampled_report(
+        "theorem", {"p": p, "n": n, "k": k, "A": A, "m": m, "M": M}, ctx, measure,
+        samples, seed, jobs, points, finish=w_independence,
     )
 
 
@@ -529,42 +497,22 @@ def check_prop_reduction(
     points: list | None = None,
 ) -> dict:
     """Riemann-sum integral mod p against li_n(zbar)/(1 - zbar^p) in F_{p^k}."""
-    if n < 0:
-        raise report_mod.ConfigError("weight must be >= 0")
+    report_mod.check_weight("proposition1", p, n, 0)
     A = default_precision(n) if A is None else A
     m = default_riemann_m(n) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n)
     field = ctx.residue_field
-    rng = SplitMix64(seed)
 
-    def one_sample(i: int) -> dict:
-        if points is not None:
-            zbar, w = report_mod.point_from_record(ctx, points[i])
-        else:
-            r = rng.fork(i)
-            zbar, w = sample_zbar(ctx, r), sample_w(ctx, r)
-        x = ev.xpoint(zbar, w)
-        rec = {"index": i, "zbar": list(zbar.coeffs), "w": w.to_record()}
-        try:
-            lip = ev.li_p_riemann(x.z, n)
-            lhs = residue(lip.value)
-            rhs = li_finite(n, zbar) * (field.one() - zbar**p).inverse()
-            rec["lhsResidue"] = list(lhs.coeffs)
-            rec["rhsResidue"] = list(rhs.coeffs)
-            rec["pass"] = lhs == rhs
-        except PrecisionError as e:
-            rec["precisionShortfall"] = str(e)
-            rec["pass"] = False
-        return rec
+    def measure(zbar: FpkElement, w: WittApprox) -> dict:
+        lhs = residue(ev.li_p_riemann(ev.xpoint(zbar, w).z, n).value)
+        rhs = li_finite(n, zbar) * (field.one() - zbar**p).inverse()
+        return {"lhsResidue": list(lhs.coeffs), "rhsResidue": list(rhs.coeffs),
+                "pass": lhs == rhs}
 
-    count = len(points) if points is not None else samples
-    records = report_mod.run_samples(count, one_sample, jobs)
-    return report_mod.assemble(
-        "proposition1",
-        {"p": p, "n": n, "k": k, "A": A, "m": m, "samples": count, "seed": seed},
-        ctx,
-        records,
+    return report_mod.sampled_report(
+        "proposition1", {"p": p, "n": n, "k": k, "A": A, "m": m}, ctx, measure,
+        samples, seed, jobs, points,
     )
 
 
@@ -582,6 +530,8 @@ def check_corollary(
     At alphabar = -1 with n even the finite side vanishes, which forces one
     extra digit of valuation; that sharpening is asserted as well.
     """
+    for n in ns:
+        report_mod.check_weight("corollary", p, n, 1)
     A = default_precision(max(ns)) if A is None else A
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=max(ns))
@@ -634,47 +584,31 @@ def check_maincong(
 ) -> dict:
     """Disc expansion mod p: series evaluation against the finite-field sum
     of scaled Teichmuller values times w^j/j!."""
-    if p <= n + 1:
-        raise report_mod.ConfigError(f"maincong needs p > n+1, got p={p}, n={n}")
+    report_mod.check_weight("maincong", p, n, 0, gap=1)
     A = default_precision(n) if A is None else A
     m = default_riemann_m(n) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n, series_order=M)
     field = ctx.residue_field
-    rng = SplitMix64(seed)
     inv_fact = [field.element(math.factorial(j) % p).inverse() for j in range(n + 1)]
 
-    def one_sample(i: int) -> dict:
-        if points is not None:
-            zbar, w = report_mod.point_from_record(ctx, points[i])
-        else:
-            r = rng.fork(i)
-            zbar, w = sample_zbar(ctx, r), sample_w(ctx, r)
+    def measure(zbar: FpkElement, w: WittApprox) -> dict:
         x = ev.xpoint(zbar, w)
-        rec = {"index": i, "zbar": list(zbar.coeffs), "w": w.to_record()}
-        try:
-            lhs = residue(ev.li_n_at(x, n).value.shift(-n))
-            wbar = residue(w)
-            rhs = field.zero()
-            wpow = field.one()
-            for j in range(n + 1):
-                rhs = rhs + residue(ev.li_tilde(x.alpha, n - j)) * wpow * inv_fact[j]
-                wpow = wpow * wbar
-            rec["lhsResidue"] = list(lhs.coeffs)
-            rec["rhsResidue"] = list(rhs.coeffs)
-            rec["pass"] = lhs == rhs
-        except PrecisionError as e:
-            rec["precisionShortfall"] = str(e)
-            rec["pass"] = False
-        return rec
+        lhs = residue(ev.li_n_at(x, n).value.shift(-n))
+        wbar = residue(w)
+        rhs = field.zero()
+        wpow = field.one()
+        for j in range(n + 1):
+            rhs = rhs + residue(ev.li_tilde(x.alpha, n - j)) * wpow * inv_fact[j]
+            wpow = wpow * wbar
+        return {"lhsResidue": list(lhs.coeffs), "rhsResidue": list(rhs.coeffs),
+                "pass": lhs == rhs}
 
-    count = len(points) if points is not None else samples
-    records = report_mod.run_samples(count, one_sample, jobs)
-    return report_mod.assemble(
-        "maincong",
-        {"p": p, "n": n, "k": k, "A": A, "m": m, "samples": count, "seed": seed},
-        ctx,
-        records,
+    # M is not in the params, so a replay falls back to the default order
+    # (ROADMAP item 4)
+    return report_mod.sampled_report(
+        "maincong", {"p": p, "n": n, "k": k, "A": A, "m": m}, ctx, measure,
+        samples, seed, jobs, points,
     )
 
 
@@ -700,8 +634,7 @@ def check_g_valuations(
 ) -> dict:
     """Certified coefficient bound of the disc series: degree j has
     v_p >= j - n - v_p(j!), checked on every stored coefficient."""
-    if p <= n + 1:
-        raise report_mod.ConfigError(f"needs p > n+1, got p={p}, n={n}")
+    report_mod.check_weight("g-valuation", p, n, 0, gap=1)
     A = default_precision(n) if A is None else A
     m = default_riemann_m(n) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
@@ -756,46 +689,29 @@ def check_functional_equation(
     check_digits: int = 3,
 ) -> dict:
     """F_n(z) + (-1)^n F_n(1/z) = 0 and F_n = -n L_n - L_{n-1} log z."""
-    if p <= n + 1:
-        raise report_mod.ConfigError(f"needs p > n+1, got p={p}, n={n}")
+    report_mod.check_weight("funceq", p, n, 2, gap=1)
     A = default_precision(n) if A is None else A
     m = default_riemann_m(n) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n)
     sign = (-1) ** n
-    rng = SplitMix64(seed)
 
-    def one_sample(i: int) -> dict:
-        if points is not None:
-            zbar, w = report_mod.point_from_record(ctx, points[i])
-        else:
-            r = rng.fork(i)
-            zbar, w = sample_zbar(ctx, r), sample_w(ctx, r)
+    def measure(zbar: FpkElement, w: WittApprox) -> dict:
         x = ev.xpoint(zbar, w)
-        rec = {"index": i, "zbar": list(zbar.coeffs), "w": w.to_record()}
-        try:
-            fz = ev.f_n_at(x, n).value
-            finv = ev.f_n_at(x.inverse_point(), n).value
-            total = fz + ctx.from_int(sign) * finv
-            rec["inversionOk"] = total.is_zero_to(check_digits)
-            logz = ev.log_at(x)
-            viaL = (
-                ctx.from_int(-n) * ev.big_l_at(x, n).value
-                - ev.big_l_at(x, n - 1).value * logz
-            )
-            rec["lRouteOk"] = (fz - viaL).is_zero_to(check_digits)
-            rec["pass"] = rec["inversionOk"] and rec["lRouteOk"]
-        except PrecisionError as e:
-            rec["precisionShortfall"] = str(e)
-            rec["pass"] = False
-        return rec
+        fz = ev.f_n_at(x, n).value
+        finv = ev.f_n_at(x.inverse_point(), n).value
+        inversion_ok = (fz + ctx.from_int(sign) * finv).is_zero_to(check_digits)
+        logz = ev.log_at(x)
+        viaL = (
+            ctx.from_int(-n) * ev.big_l_at(x, n).value
+            - ev.big_l_at(x, n - 1).value * logz
+        )
+        l_route_ok = (fz - viaL).is_zero_to(check_digits)
+        return {"inversionOk": inversion_ok, "lRouteOk": l_route_ok,
+                "pass": inversion_ok and l_route_ok}
 
-    count = len(points) if points is not None else samples
-    records = report_mod.run_samples(count, one_sample, jobs)
-    return report_mod.assemble(
+    return report_mod.sampled_report(
         "functional-equation",
-        {"p": p, "n": n, "k": k, "A": A, "m": m, "samples": count, "seed": seed,
-         "checkDigits": check_digits},
-        ctx,
-        records,
+        {"p": p, "n": n, "k": k, "A": A, "m": m, "checkDigits": check_digits},
+        ctx, measure, samples, seed, jobs, points,
     )

@@ -1,11 +1,15 @@
-"""The verification matrices: which (p, n, k) cells each check runs over.
+"""The check table: every verification, its CLI knobs and its matrix cells.
 
-One source of truth shared by ``polylogp verify all`` and the acceptance
-test suite.  The ``full`` matrix is the release gate; ``small`` is a smoke
-pass over a few cheap cells.
+One source of truth shared by the ``polylogp verify`` subcommands,
+``polylogp verify all`` and the acceptance test suite.  The ``full`` matrix
+is the release gate; ``small`` is a smoke pass over a few cheap cells.
 """
 
 from __future__ import annotations
+
+import sys
+from dataclasses import dataclass
+from types import ModuleType
 
 from . import coleman, identities, section3
 from .finite_poly import (
@@ -17,89 +21,47 @@ from . import report as report_mod
 
 DEFAULT_SEED = 20260809
 
-
-def theorem_cells(full: bool = True):
-    if not full:
-        return [(5, 2, 1), (7, 3, 2)]
-    return [
-        (p, n, k)
-        for p in (5, 7, 11, 13)
-        for n in (2, 3, 4)
-        if p > n + 1
-        for k in (1, 2)
-    ]
+# the knobs of a sampled check: --samples, --seed, --jobs and --replay
+SAMPLED = ("samples", "seed", "jobs", "points")
 
 
-def proposition_cells(full: bool = True):
-    if not full:
-        return [(5, 1, 1)]
-    return [(p, n, k) for p in (5, 7, 11) for n in (1, 2, 3) for k in (1, 2)]
+@dataclass(frozen=True)
+class Check:
+    """One verification: its subcommand, its driver and what it takes.
+
+    ``knobs`` names the driver's keyword arguments that the CLI exposes; a
+    flag for any other knob is rejected.  ``full`` and ``small`` are the
+    driver's keyword arguments per matrix cell, and ``samples`` the sample
+    count per cell of each matrix.
+    """
+
+    name: str
+    module: ModuleType
+    driver: str
+    knobs: tuple
+    full: list
+    small: list
+    samples: tuple = (None, None)
+
+    def run(self, **kwargs) -> dict:
+        # looked up on every call, so a wrapper installed on the module
+        # attribute (a profiling span, say) is the one that runs
+        return getattr(self.module, self.driver)(**kwargs)
 
 
-def corollary_fields(full: bool = True):
-    if not full:
-        return [(5, 1), (5, 2)]
-    out = []
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        out.append((p, 1))
-    out += [(3, 2), (5, 2), (7, 2), (3, 3)]
-    return [(p, k) for (p, k) in out if p**k <= 49]
+def _grid(ps, ns, ks, gap=None) -> list:
+    """The (p, n, k) cells of ps x ns x ks, keeping p > n + gap."""
+    return [{"p": p, "n": n, "k": k} for p in ps for n in ns
+            if gap is None or p > n + gap for k in ks]
 
 
-def maincong_cells(full: bool = True):
-    if not full:
-        return [(5, 2, 1)]
-    return [
-        (p, n, k)
-        for p in (5, 7, 11)
-        for n in (1, 2, 3)
-        if p > n + 1
-        for k in (1, 2)
-    ]
+def _corollary_fields() -> list:
+    fields = [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)]
+    fields += [(3, 2), (5, 2), (7, 2), (3, 3)]
+    return [{"p": p, "k": k} for p, k in fields if p**k <= 49]
 
 
-def funceq_cells(full: bool = True):
-    if not full:
-        return [(7, 2, 1)]
-    return [(p, n, 1) for p in (5, 7, 11) for n in (2, 3, 4) if p > n + 1]
-
-
-def g_valuation_cells(full: bool = True):
-    if not full:
-        return [(5, 2, 1)]
-    return [(p, n, 1) for p in (5, 7, 11) for n in (1, 2, 3) if p > n + 1]
-
-
-def delprop_cells(full: bool = True):
-    if not full:
-        return [(7, 2, 1)]
-    return [(p, n, 1) for p in (5, 7, 11) for n in (0, 1, 2, 3) if p > n + 2]
-
-
-def flemma_cells(full: bool = True):
-    if not full:
-        return [(5, 2, 1)]
-    return [(p, n, 1) for p in (5, 7, 11) for n in (0, 1, 2, 3) if p > n + 1]
-
-
-def erecover_cells(full: bool = True):
-    if not full:
-        return [(7, 2, 1)]
-    return [(7, 2, 1), (7, 3, 1), (11, 3, 1)]
-
-
-def inversion_cells(full: bool = True):
-    if not full:
-        return [(5, 1, 2), (7, 1, 3)]
-    return [
-        (p, k, n)
-        for p in (5, 7, 11, 13)
-        for k in (1, 2)
-        for n in (2, 3, 4, 5, 6)
-    ]
-
-
-def inversion_check_report(p: int, k: int, ns) -> dict:
+def inversion_check_report(p: int, k: int = 1, ns=(2, 3, 4, 5, 6)) -> dict:
     """Both inversion forms per weight; ``pass`` is the plain stated form.
 
     The plain form is false on proper extensions (see the Frobenius-corrected
@@ -127,52 +89,75 @@ def inversion_check_report(p: int, k: int, ns) -> dict:
     )
 
 
+CHECKS = {spec.name: spec for spec in (
+    Check("theorem", coleman, "verify_theorem",
+          knobs=("p", "k", "n", "A", "m", "M", "trace") + SAMPLED,
+          full=_grid((5, 7, 11, 13), (2, 3, 4), (1, 2), gap=1),
+          small=_grid((5,), (2,), (1,)) + _grid((7,), (3,), (2,)),
+          samples=(20, 5)),
+    Check("proposition1", coleman, "check_prop_reduction",
+          knobs=("p", "k", "n", "A", "m") + SAMPLED,
+          full=_grid((5, 7, 11), (1, 2, 3), (1, 2)),
+          small=_grid((5,), (1,), (1,)),
+          samples=(50, 10)),
+    Check("corollary", coleman, "check_corollary",
+          knobs=("p", "k", "ns", "A", "m"),
+          full=_corollary_fields(),
+          small=[{"p": 5, "k": 1}, {"p": 5, "k": 2}]),
+    Check("maincong", coleman, "check_maincong",
+          knobs=("p", "k", "n", "A", "m", "M") + SAMPLED,
+          full=_grid((5, 7, 11), (1, 2, 3), (1, 2), gap=1),
+          small=_grid((5,), (2,), (1,)),
+          samples=(50, 10)),
+    Check("g-valuation", coleman, "check_g_valuations",
+          knobs=("p", "k", "n", "count", "seed", "A", "m", "M"),
+          full=_grid((5, 7, 11), (1, 2, 3), (1,), gap=1),
+          small=_grid((5,), (2,), (1,))),
+    Check("funceq", coleman, "check_functional_equation",
+          knobs=("p", "k", "n", "A", "m") + SAMPLED,
+          full=_grid((5, 7, 11), (2, 3, 4), (1,), gap=1),
+          small=_grid((7,), (2,), (1,)),
+          samples=(20, 5)),
+    Check("delprop", section3, "delprop_check",
+          knobs=("p", "k", "n", "A", "m", "M") + SAMPLED,
+          full=_grid((5, 7, 11), (0, 1, 2, 3), (1,), gap=2),
+          small=_grid((7,), (2,), (1,)),
+          samples=(10, 3)),
+    Check("f-lemmas", section3, "f_lemmas_check",
+          knobs=("p", "k", "n", "A", "M") + SAMPLED,
+          full=_grid((5, 7, 11), (0, 1, 2, 3), (1,), gap=1),
+          small=_grid((5,), (2,), (1,)),
+          samples=(10, 3)),
+    Check("e-recover", section3, "e_recover_check",
+          knobs=("p", "k", "n", "A", "m") + SAMPLED,
+          full=_grid((7,), (2, 3), (1,)) + _grid((11,), (3,), (1,)),
+          small=_grid((7,), (2,), (1,)),
+          samples=(10, 3)),
+    Check("identities", identities, "identities_report",
+          knobs=("nmax",),
+          full=[{"nmax": 12}],
+          small=[{"nmax": 6}]),
+    Check("inversion", sys.modules[__name__], "inversion_check_report",
+          knobs=("p", "k", "ns"),
+          full=[{"p": p, "k": k, "ns": (2, 3, 4, 5, 6)}
+                for p in (5, 7, 11, 13) for k in (1, 2)],
+          small=[{"p": 5, "k": 1, "ns": (2,)}, {"p": 7, "k": 1, "ns": (3,)}]),
+)}
+
+
 def run_matrix(kind: str = "full", seed: int = DEFAULT_SEED, jobs: int = 1,
                progress=None) -> dict:
     """Run every check over its matrix; returns an aggregate report."""
     full = kind == "full"
-    samples = {
-        "theorem": 20 if full else 5,
-        "proposition1": 50 if full else 10,
-        "maincong": 50 if full else 10,
-        "funceq": 20 if full else 5,
-        "delprop": 10 if full else 3,
-        "f-lemmas": 10 if full else 3,
-        "e-recover": 10 if full else 3,
-    }
     reports = []
-
-    def emit(rep):
-        reports.append(rep)
-        if progress is not None:
-            progress(rep)
-
-    for p, n, k in theorem_cells(full):
-        emit(coleman.verify_theorem(p, n, k, samples["theorem"], seed, jobs=jobs))
-    for p, n, k in proposition_cells(full):
-        emit(coleman.check_prop_reduction(p, n, k, samples["proposition1"], seed,
-                                          jobs=jobs))
-    for p, k in corollary_fields(full):
-        emit(coleman.check_corollary(p, k))
-    for p, n, k in maincong_cells(full):
-        emit(coleman.check_maincong(p, n, k, samples["maincong"], seed, jobs=jobs))
-    for p, n, k in g_valuation_cells(full):
-        emit(coleman.check_g_valuations(p, n, k, count=5, seed=seed))
-    for p, n, k in funceq_cells(full):
-        emit(coleman.check_functional_equation(p, n, k, samples["funceq"], seed,
-                                               jobs=jobs))
-    for p, n, k in delprop_cells(full):
-        emit(section3.delprop_check(p, n, k, samples["delprop"], seed, jobs=jobs))
-    for p, n, k in flemma_cells(full):
-        emit(section3.f_lemmas_check(p, n, k, samples["f-lemmas"], seed, jobs=jobs))
-    for p, n, k in erecover_cells(full):
-        emit(section3.e_recover_check(p, n, k, samples["e-recover"], seed, jobs=jobs))
-    emit(identities.identities_report(nmax=12 if full else 6))
-    inversion_groups: dict = {}
-    for p, k, n in inversion_cells(full):
-        inversion_groups.setdefault((p, k), []).append(n)
-    for (p, k), ns in sorted(inversion_groups.items()):
-        emit(inversion_check_report(p, k, ns))
+    for spec in CHECKS.values():
+        knobs = {"samples": spec.samples[0 if full else 1], "seed": seed, "jobs": jobs}
+        knobs = {key: value for key, value in knobs.items() if key in spec.knobs}
+        for cell in spec.full if full else spec.small:
+            rep = spec.run(**cell, **knobs)
+            reports.append(rep)
+            if progress is not None:
+                progress(rep)
     return {
         "schemaVersion": report_mod.SCHEMA_VERSION,
         "command": "all",

@@ -12,13 +12,23 @@ import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 
-from .padic_core import UnramifiedCtx, WittApprox
+from .finite_poly import FpkElement
+from .padic_core import PrecisionError, UnramifiedCtx, WittApprox
+from .rng import SplitMix64
 
 SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
     """Invalid parameter combination (CLI exit code 2, not a check failure)."""
+
+
+def check_weight(command: str, p: int, n: int, low: int, gap: int | None = None) -> None:
+    """Raise ConfigError unless n >= low and, when ``gap`` is given, p > n+gap."""
+    if n < low:
+        raise ConfigError(f"{command} needs n >= {low}, got n={n}")
+    if gap is not None and p <= n + gap:
+        raise ConfigError(f"{command} needs p > n+{gap}, got p={p}, n={n}")
 
 
 def run_samples(count: int, fn, jobs: int = 1) -> list:
@@ -68,6 +78,60 @@ def point_from_record(ctx: UnramifiedCtx, rec: dict, with_wz: bool = False):
         wz = witt_from_record(ctx, rec["wz"])
         return zbar, wz, w
     return zbar, w
+
+
+def sample_zbar(ctx: UnramifiedCtx, rng: SplitMix64) -> FpkElement:
+    """Uniform residue avoiding 0 and 1."""
+    t = 2 + rng.below(ctx.p**ctx.k - 2)
+    return ctx.residue_field.from_int(t)
+
+
+def sample_w(ctx: UnramifiedCtx, rng: SplitMix64) -> WittApprox:
+    """Uniform integral disc coordinate mod p^A."""
+    vec = tuple(rng.below(ctx.pA) for _ in range(ctx.k))
+    if all(c == 0 for c in vec):
+        return ctx.exact_zero()
+    return ctx.make(0, vec, ctx.A)
+
+
+def sampled_report(command: str, params: dict, ctx: UnramifiedCtx, measure,
+                   samples: int, seed: int, jobs: int = 1, points: list | None = None,
+                   with_wz: bool = False, finish=None) -> dict:
+    """The sampled driver shared by every sampled check.
+
+    Point i is replayed from ``points[i]``, or drawn from ``fork(i)`` of the
+    seed's stream: a residue zbar, then the disc coordinate w (``wz`` and w
+    when ``with_wz``).  ``measure(zbar, [wz,] w)`` returns the check's fields
+    and its ``pass``; a PrecisionError becomes a ``precisionShortfall``
+    record.  ``finish(records, rng)``, if given, returns report-level fields
+    whose ``pass`` joins the records' verdict.
+    """
+    count = len(points) if points is not None else samples
+    if count < 1:
+        raise ConfigError(f"{command} needs at least one sample, got {count}")
+    rng = SplitMix64(seed)
+    names = ("wz", "w") if with_wz else ("w",)
+
+    def one_sample(i: int) -> dict:
+        if points is not None:
+            zbar, *ws = point_from_record(ctx, points[i], with_wz)
+        else:
+            r = rng.fork(i)
+            zbar = sample_zbar(ctx, r)
+            ws = [sample_w(ctx, r) for _ in names]
+        rec = {"index": i, "zbar": list(zbar.coeffs)}
+        rec.update((name, w.to_record()) for name, w in zip(names, ws))
+        try:
+            rec.update(measure(zbar, *ws))
+        except PrecisionError as e:
+            rec["precisionShortfall"] = str(e)
+            rec["pass"] = False
+        return rec
+
+    records = run_samples(count, one_sample, jobs)
+    extra = finish(records, rng) if finish is not None else None
+    return assemble(command, {**params, "samples": count, "seed": seed}, ctx, records,
+                    extra)
 
 
 def to_json(report: dict) -> str:

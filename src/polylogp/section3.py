@@ -16,18 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coleman import (
-    PolylogEvaluator,
-    XPoint,
-    default_precision,
-    default_riemann_m,
-    sample_w,
-    sample_zbar,
-)
+from .coleman import PolylogEvaluator, XPoint, default_precision, default_riemann_m
+from .finite_poly import FpkElement
 from .identities import e_coeffs
-from .padic_core import PrecisionError, UnramifiedCtx, WittApprox, residue
+from .padic_core import UnramifiedCtx, WittApprox, residue
 from .power_series import TruncSeries
-from .rng import SplitMix64
 from . import report as report_mod
 
 
@@ -105,59 +98,40 @@ def delprop_check(
 ) -> dict:
     """Difference formula: weighted f_{k+1} sums against log powers versus
     the difference of weight-(n+1) L-values at two congruent points."""
-    if p <= n + 2:
-        raise report_mod.ConfigError(f"delprop needs p > n+2, got p={p}, n={n}")
+    report_mod.check_weight("delprop", p, n, 0, gap=2)
     A = default_precision(n + 1) if A is None else A
     m = default_riemann_m(n + 1) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n + 1)
     Mf = default_f_order(A, n + 1) if M is None else M
-    rng = SplitMix64(seed)
     binoms = [math.comb(n, kk) for kk in range(n + 1)]
     facts = [math.factorial(kk) for kk in range(n + 2)]
 
-    def one_sample(i: int) -> dict:
-        if points is not None:
-            zbar, w = report_mod.point_from_record(ctx, points[i])
-        else:
-            r = rng.fork(i)
-            zbar, w = sample_zbar(ctx, r), sample_w(ctx, r)
+    def measure(zbar: FpkElement, w: WittApprox) -> dict:
         alpha = ev.teich(zbar)
         x = XPoint.from_alpha_w(ctx, alpha, w)
-        rec = {"index": i, "zbar": list(zbar.coeffs), "w": w.to_record()}
-        try:
-            fs = f_series(ctx, alpha, n + 1, Mf)
-            u = (alpha * w).shift(1)  # S - z = alpha p w
-            logS = ev.log_at(x)
-            lhs = ctx.exact_zero()
-            logpow = ctx.one()
-            fvals = [fs[kk + 1].series.eval_at(u, target=1) for kk in range(n + 1)]
-            for kk in range(n, -1, -1):
-                sign = -1 if kk % 2 else 1
-                term = ctx.from_int(sign * facts[kk] * binoms[kk]) * fvals[kk] * logpow
-                lhs = lhs + term
-                logpow = logpow * logS
-            lhs = -lhs
-            l_at_alpha = ev.li_tilde(alpha, n + 1).shift(n + 1)
-            l_at_s = ev.big_l_at(x, n + 1).value
-            rhs = ctx.from_int((-1) ** n * facts[n]) * (l_at_alpha - l_at_s)
-            diff = lhs - rhs
-            rec["lhs"] = lhs.to_record()
-            rec["rhs"] = rhs.to_record()
-            rec["pass"] = diff.is_zero_to(check_digits)
-        except PrecisionError as e:
-            rec["precisionShortfall"] = str(e)
-            rec["pass"] = False
-        return rec
+        fs = f_series(ctx, alpha, n + 1, Mf)
+        u = (alpha * w).shift(1)  # S - z = alpha p w
+        logS = ev.log_at(x)
+        lhs = ctx.exact_zero()
+        logpow = ctx.one()
+        fvals = [fs[kk + 1].series.eval_at(u, target=1) for kk in range(n + 1)]
+        for kk in range(n, -1, -1):
+            sign = -1 if kk % 2 else 1
+            term = ctx.from_int(sign * facts[kk] * binoms[kk]) * fvals[kk] * logpow
+            lhs = lhs + term
+            logpow = logpow * logS
+        lhs = -lhs
+        l_at_alpha = ev.li_tilde(alpha, n + 1).shift(n + 1)
+        l_at_s = ev.big_l_at(x, n + 1).value
+        rhs = ctx.from_int((-1) ** n * facts[n]) * (l_at_alpha - l_at_s)
+        return {"lhs": lhs.to_record(), "rhs": rhs.to_record(),
+                "pass": (lhs - rhs).is_zero_to(check_digits)}
 
-    count = len(points) if points is not None else samples
-    records = report_mod.run_samples(count, one_sample, jobs)
-    return report_mod.assemble(
+    return report_mod.sampled_report(
         "delprop",
-        {"p": p, "n": n, "k": k, "A": A, "m": m, "M": Mf, "samples": count, "seed": seed,
-         "checkDigits": check_digits},
-        ctx,
-        records,
+        {"p": p, "n": n, "k": k, "A": A, "m": m, "M": Mf, "checkDigits": check_digits},
+        ctx, measure, samples, seed, jobs, points,
     )
 
 
@@ -216,51 +190,25 @@ def f_lemmas_check(
 ) -> dict:
     """Sampled driver over both single-point lemmas: the f_n congruence and
     the v_p(Df_k) >= k bound at k = max(n, 1)."""
-    if p <= n + 1:
-        raise report_mod.ConfigError(f"f-lemmas need p > n+1, got p={p}, n={n}")
+    report_mod.check_weight("f-lemmas", p, n, 0, gap=1)
     korder = max(n, 1)
     A = default_precision(max(n, korder)) if A is None else A
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, default_riemann_m(n), max_weight=max(n, 1))
     Mf = default_f_order(A, korder) if M is None else M
-    rng = SplitMix64(seed)
 
-    def one_sample(i: int) -> dict:
-        if points is not None:
-            zbar, wz, w = report_mod.point_from_record(ctx, points[i], with_wz=True)
-        else:
-            r = rng.fork(i)
-            zbar, wz, w = sample_zbar(ctx, r), sample_w(ctx, r), sample_w(ctx, r)
+    def measure(zbar: FpkElement, wz: WittApprox, w: WittApprox) -> dict:
         z = ev.xpoint(zbar, wz).z
-        rec = {
-            "index": i,
-            "zbar": list(zbar.coeffs),
-            "wz": wz.to_record(),
-            "w": w.to_record(),
-        }
-        try:
-            fs = f_series(ctx, z, korder, Mf)
-            cong = f_congruence_check(ctx, z, w, n, fs=fs)
-            rec["congruenceOk"] = cong["pass"]
-            rec["lhsResidue"] = cong["lhsResidue"]
-            rec["rhsResidue"] = cong["rhsResidue"]
-            dfres = df_lemma_check(ctx, z, w, korder, fs=fs)
-            rec["dfValuationOk"] = dfres["valuationOk"]
-            rec["dfOrder"] = korder
-            rec["pass"] = rec["congruenceOk"] and rec["dfValuationOk"]
-        except PrecisionError as e:
-            rec["precisionShortfall"] = str(e)
-            rec["pass"] = False
-        return rec
+        fs = f_series(ctx, z, korder, Mf)
+        cong = f_congruence_check(ctx, z, w, n, fs=fs)
+        dfres = df_lemma_check(ctx, z, w, korder, fs=fs)
+        return {"congruenceOk": cong["pass"], "lhsResidue": cong["lhsResidue"],
+                "rhsResidue": cong["rhsResidue"], "dfValuationOk": dfres["valuationOk"],
+                "dfOrder": korder, "pass": cong["pass"] and dfres["valuationOk"]}
 
-    count = len(points) if points is not None else samples
-    records = report_mod.run_samples(count, one_sample, jobs)
-    return report_mod.assemble(
-        "f-lemmas",
-        {"p": p, "n": n, "k": k, "A": A, "M": Mf, "samples": count, "seed": seed,
-         "dfOrder": korder},
-        ctx,
-        records,
+    return report_mod.sampled_report(
+        "f-lemmas", {"p": p, "n": n, "k": k, "A": A, "M": Mf, "dfOrder": korder},
+        ctx, measure, samples, seed, jobs, points, with_wz=True,
     )
 
 
@@ -278,49 +226,31 @@ def e_recover_check(
 ) -> dict:
     """The simplified-weight route: sum_m e_m L_m(z) log^{n-m}(z) must equal
     the closed-form combination of weight n at sampled points."""
-    if p <= n + 1:
-        raise report_mod.ConfigError(f"e-recover needs p > n+1, got p={p}, n={n}")
+    report_mod.check_weight("e-recover", p, n, 2, gap=1)
     A = default_precision(n) if A is None else A
     m = default_riemann_m(n) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n)
     ecs = e_coeffs(n)
-    rng = SplitMix64(seed)
 
-    def one_sample(i: int) -> dict:
-        if points is not None:
-            zbar, w = report_mod.point_from_record(ctx, points[i])
-        else:
-            r = rng.fork(i)
-            zbar, w = sample_zbar(ctx, r), sample_w(ctx, r)
+    def measure(zbar: FpkElement, w: WittApprox) -> dict:
         x = ev.xpoint(zbar, w)
-        rec = {"index": i, "zbar": list(zbar.coeffs), "w": w.to_record()}
-        try:
-            logz = ev.log_at(x)
-            lhs = ctx.exact_zero()
-            for mm in range(1, n + 1):
-                if ecs[mm] == 0:
-                    continue
-                lhs = lhs + (
-                    ctx.from_rational(ecs[mm])
-                    * ev.big_l_at(x, mm).value
-                    * logz ** (n - mm)
-                )
-            rhs = ev.f_n_at(x, n).value
-            rec["lhs"] = lhs.to_record()
-            rec["rhs"] = rhs.to_record()
-            rec["pass"] = (lhs - rhs).is_zero_to(check_digits)
-        except PrecisionError as e:
-            rec["precisionShortfall"] = str(e)
-            rec["pass"] = False
-        return rec
+        logz = ev.log_at(x)
+        lhs = ctx.exact_zero()
+        for mm in range(1, n + 1):
+            if ecs[mm] == 0:
+                continue
+            lhs = lhs + (
+                ctx.from_rational(ecs[mm])
+                * ev.big_l_at(x, mm).value
+                * logz ** (n - mm)
+            )
+        rhs = ev.f_n_at(x, n).value
+        return {"lhs": lhs.to_record(), "rhs": rhs.to_record(),
+                "pass": (lhs - rhs).is_zero_to(check_digits)}
 
-    count = len(points) if points is not None else samples
-    records = report_mod.run_samples(count, one_sample, jobs)
-    return report_mod.assemble(
+    return report_mod.sampled_report(
         "e-recover",
-        {"p": p, "n": n, "k": k, "A": A, "m": m, "samples": count, "seed": seed,
-         "checkDigits": check_digits},
-        ctx,
-        records,
+        {"p": p, "n": n, "k": k, "A": A, "m": m, "checkDigits": check_digits},
+        ctx, measure, samples, seed, jobs, points,
     )

@@ -39,6 +39,15 @@ from polylogp.section3 import delprop_check, e_recover_check, f_lemmas_check
 SEED = matrix.DEFAULT_SEED
 
 
+def cells(name: str, *keys: str) -> list:
+    """The full-matrix cells of a check in the check table, as key tuples."""
+    return [tuple(cell[key] for key in keys) for cell in matrix.CHECKS[name].full]
+
+
+def inversion_cells() -> list:
+    return [(p, k, n) for p, k, ns in cells("inversion", "p", "k", "ns") for n in ns]
+
+
 def _line(num: int, ok: bool, desc: str) -> bool:
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'} - {desc}")
     return ok
@@ -48,7 +57,7 @@ def _line(num: int, ok: bool, desc: str) -> bool:
 def theorem_reports():
     return {
         (p, n, k): verify_theorem(p, n, k, samples=20, seed=SEED)
-        for (p, n, k) in matrix.theorem_cells()
+        for (p, n, k) in cells("theorem", "p", "n", "k")
     }
 
 
@@ -89,7 +98,7 @@ def test_criterion_03_uniqueness():
 
 def test_criterion_04_proposition_reduction():
     failures = []
-    for (p, n, k) in matrix.proposition_cells():
+    for (p, n, k) in cells("proposition1", "p", "n", "k"):
         rep = check_prop_reduction(p, n, k, samples=50, seed=SEED)
         if not rep["pass"]:
             failures.append((p, n, k))
@@ -100,7 +109,7 @@ def test_criterion_04_proposition_reduction():
 
 def test_criterion_05_corollary_exhaustive():
     failures = []
-    for (p, k) in matrix.corollary_fields():
+    for (p, k) in cells("corollary", "p", "k"):
         rep = check_corollary(p, k, ns=(1, 2, 3))
         if not rep["pass"]:
             failures.append((p, k))
@@ -112,7 +121,7 @@ def test_criterion_05_corollary_exhaustive():
 
 def test_criterion_06_disc_congruence():
     failures = []
-    for (p, n, k) in matrix.maincong_cells():
+    for (p, n, k) in cells("maincong", "p", "n", "k"):
         rep = check_maincong(p, n, k, samples=50, seed=SEED)
         if not rep["pass"]:
             failures.append((p, n, k))
@@ -122,7 +131,7 @@ def test_criterion_06_disc_congruence():
 
 def test_criterion_07_series_valuation_lemma():
     failures = []
-    for (p, n, k) in matrix.g_valuation_cells():
+    for (p, n, k) in cells("g-valuation", "p", "n", "k"):
         rep = check_g_valuations(p, n, k, count=5, seed=SEED)
         if not rep["pass"]:
             failures.append((p, n, k))
@@ -133,7 +142,7 @@ def test_criterion_07_series_valuation_lemma():
 
 def test_criterion_08_functional_equation():
     failures = []
-    for (p, n, k) in matrix.funceq_cells():
+    for (p, n, k) in cells("funceq", "p", "n", "k"):
         rep = check_functional_equation(p, n, k, samples=20, seed=SEED)
         if not rep["pass"]:
             failures.append((p, n, k))
@@ -145,7 +154,7 @@ def test_criterion_08_functional_equation():
 
 def test_criterion_09_difference_formula():
     failures = []
-    for (p, n, k) in matrix.delprop_cells():
+    for (p, n, k) in cells("delprop", "p", "n", "k"):
         rep = delprop_check(p, n, k, samples=10, seed=SEED)
         if not rep["pass"]:
             failures.append((p, n, k))
@@ -157,7 +166,7 @@ def test_criterion_09_difference_formula():
 
 def test_criterion_10_iterated_integral_lemmas():
     failures = []
-    for (p, n, k) in matrix.flemma_cells():
+    for (p, n, k) in cells("f-lemmas", "p", "n", "k"):
         rep = f_lemmas_check(p, n, k, samples=10, seed=SEED)
         if not rep["pass"]:
             failures.append((p, n, k))
@@ -169,7 +178,7 @@ def test_criterion_10_iterated_integral_lemmas():
 def test_criterion_11_constants_and_route_agreement():
     ok = all(c_sum(n) == Fraction(1, n + 1) and d_sum(n) == 1 for n in range(1, 21))
     failures = []
-    for (p, n, k) in matrix.erecover_cells():
+    for (p, n, k) in cells("e-recover", "p", "n", "k"):
         rep = e_recover_check(p, n, k, samples=10, seed=SEED)
         if not rep["pass"]:
             failures.append((p, n, k))
@@ -185,7 +194,7 @@ def test_criterion_12_inversion_identity_as_stated():
     # counterexample).  The Frobenius-corrected z^p form passes everywhere.
     stated_failures = []
     corrected_ok = True
-    for (p, k, n) in matrix.inversion_cells():
+    for (p, k, n) in inversion_cells():
         field = FiniteField(p, k)
         if not check_inversion_identity(n, field).passed:
             stated_failures.append((p, k, n))

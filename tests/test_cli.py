@@ -1,11 +1,19 @@
 """Exit codes, output formats, determinism, replay, env overrides."""
 
+import hashlib
+import inspect
 import json
 
+import pytest
+
 from polylogp.cli import main
-from polylogp.matrix import DEFAULT_SEED
+from polylogp.matrix import CHECKS, DEFAULT_SEED, run_matrix
+from polylogp.report import to_json
 
 from test_rng import deadline
+
+# sha256 of the canonical JSON of run_matrix("small", seed=DEFAULT_SEED)
+SMALL_MATRIX_SHA256 = "17bbda0f7cfc9ead04e08de0493832471c884c17faf0397865408ecf45018b64"
 
 
 def run(capsys, *argv):
@@ -217,3 +225,91 @@ def test_large_precision_theorem_finishes(capsys):
         assert code == 0, precision
         report = json.loads(out)
         assert report["pass"] and report["params"]["A"] == int(precision)
+
+
+def _base_argv(spec) -> list:
+    """Cheap valid arguments for a check: p, n and small sizes, where it takes them."""
+    values = {"p": "7", "n": "2", "samples": "1", "count": "1", "ns": "2",
+              "nmax": "4"}
+    argv = ["verify", spec.name]
+    for knob in spec.knobs:
+        if knob in values:
+            argv += [f"--{knob}", values[knob]]
+    return argv
+
+
+def _flag_cases():
+    cases = [("funceq", "--order", "2"), ("e-recover", "--order", "2"),
+             ("proposition1", "--order", "2"), ("f-lemmas", "--riemann-m", "3"),
+             ("g-valuation", "--samples", "3"), ("g-valuation", "--jobs", "2"),
+             ("g-valuation", "--replay", "/nonexistent")]
+    cases += [(name, "--trace") for name in CHECKS if name != "theorem"]
+    return cases
+
+
+@pytest.mark.parametrize("case", _flag_cases(), ids=" ".join)
+def test_flag_a_check_does_not_take_exits_two(capsys, case):
+    name, *flag = case
+    with pytest.raises(SystemExit) as exc:
+        main(_base_argv(CHECKS[name]) + flag)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(
+        "unrecognized arguments: " + " ".join(flag))
+
+
+@pytest.mark.parametrize("knob, env", [("A", "POLYLOGP_PRECISION"),
+                                       ("m", "POLYLOGP_RIEMANN_M")])
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_env_overrides_apply_to_every_check_that_takes_them(capsys, monkeypatch,
+                                                            name, knob, env):
+    # a check that does not take the knob runs as if the variable were unset
+    spec = CHECKS[name]
+    monkeypatch.setenv(env, "9" if knob == "A" else "5")
+    code, out, _ = run(capsys, *_base_argv(spec), "--format", "json")
+    assert code == 0
+    params = json.loads(out)["params"]
+    if knob in spec.knobs:
+        assert params[knob] == (9 if knob == "A" else 5)
+    else:
+        assert params.get(knob) != (9 if knob == "A" else 5)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("theorem", "--p", "5", "--n", "2", "--samples", "0"), "at least one sample"),
+    (("proposition1", "--p", "5", "--n", "1", "--samples", "-1"), "at least one sample"),
+    (("delprop", "--p", "7", "--n", "-1"), "delprop needs n >= 0"),
+    (("f-lemmas", "--p", "7", "--n", "-1"), "f-lemmas needs n >= 0"),
+    (("theorem", "--p", "5", "--n", "1"), "theorem needs n >= 2"),
+    (("maincong", "--replay", "/nonexistent"), "No such file"),
+])
+def test_invalid_configuration_exits_two(capsys, argv, message):
+    code, _, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("theorem", "--p", "7", "--n", "2", "--order", "20"),
+    ("delprop", "--p", "7", "--n", "1", "--order", "14"),
+])
+def test_replay_restores_the_recorded_order(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv, "--samples", "3", "--format", "json")
+    assert code == 0
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code2, out2, _ = run(capsys, "verify", argv[0], "--replay", str(path),
+                         "--format", "json")
+    assert code2 == 0
+    assert out2 == out
+
+
+def test_check_knobs_are_driver_parameters():
+    for spec in CHECKS.values():
+        driver = getattr(spec.module, spec.driver)
+        assert set(spec.knobs) <= set(inspect.signature(driver).parameters), spec.name
+
+
+def test_small_matrix_canonical_json_is_pinned():
+    # a change to this digest changes the canonical output and must say so
+    text = to_json(run_matrix("small", seed=DEFAULT_SEED))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SMALL_MATRIX_SHA256

@@ -1,6 +1,7 @@
 """Capped-precision ring arithmetic against independent exact oracles."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylogp.padic_core import (
-    PadicApprox,
     PrecisionError,
+    UnramifiedCtx,
+    WittApprox,
+    int_val,
     make_ctx,
     padic_log,
     residue,
@@ -300,6 +303,123 @@ def test_record_round_trip():
 
 
 # -- scalar capped-relative values cross-check the vector implementation ------------
+
+
+@dataclass(frozen=True)
+class PadicApprox:
+    """p^v * unit + O(p^{v+r}) in Q_p, unit coprime to p (or a tagged zero).
+
+    Independent of WittApprox (no shared arithmetic), so the two can serve
+    as cross-checking implementations at k = 1.
+    """
+
+    p: int
+    v: int
+    unit: int
+    r: int
+    exact: bool = False
+
+    @staticmethod
+    def exact_zero(p: int) -> "PadicApprox":
+        return PadicApprox(p, 0, 0, 0, True)
+
+    @staticmethod
+    def from_int(p: int, c: int, r: int) -> "PadicApprox":
+        if c == 0:
+            return PadicApprox.exact_zero(p)
+        v = int_val(c, p)
+        return PadicApprox(p, v, (c // p**v) % p**r, r)
+
+    @staticmethod
+    def from_rational(p: int, q: Fraction, r: int) -> "PadicApprox":
+        q = Fraction(q)
+        if q == 0:
+            return PadicApprox.exact_zero(p)
+        vn = int_val(q.numerator, p)
+        vd = int_val(q.denominator, p)
+        pr = p**r
+        num = (q.numerator // p**vn) % pr
+        den = (q.denominator // p**vd) % pr
+        return PadicApprox(p, vn - vd, num * pow(den, -1, pr) % pr, r)
+
+    @property
+    def abs_prec(self):
+        return None if self.exact else self.v + self.r
+
+    def _norm(self, v: int, x: int, digits: int) -> "PadicApprox":
+        if digits <= 0:
+            return PadicApprox(self.p, v + digits, 0, 0)
+        pm = self.p**digits
+        x %= pm
+        if x == 0:
+            return PadicApprox(self.p, v + digits, 0, 0)
+        j = int_val(x, self.p)
+        return PadicApprox(self.p, v + j, (x // self.p**j) % self.p ** (digits - j),
+                           digits - j)
+
+    def __add__(self, other: "PadicApprox") -> "PadicApprox":
+        assert self.p == other.p
+        if self.exact:
+            return other
+        if other.exact:
+            return self
+        n = min(self.abs_prec, other.abs_prec)
+        if self.r == 0 and other.r == 0:
+            return PadicApprox(self.p, n, 0, 0)
+        s = min(self.v, other.v) if (self.r and other.r) else (
+            self.v if self.r else other.v
+        )
+        if s >= n:
+            return PadicApprox(self.p, n, 0, 0)
+        x = 0
+        for t in (self, other):
+            if t.r:
+                x += t.unit * self.p ** (t.v - s)
+        return self._norm(s, x, n - s)
+
+    def __neg__(self) -> "PadicApprox":
+        if self.exact or self.r == 0:
+            return self
+        return PadicApprox(self.p, self.v, (-self.unit) % self.p**self.r, self.r)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other: "PadicApprox") -> "PadicApprox":
+        assert self.p == other.p
+        if self.exact or other.exact:
+            return PadicApprox.exact_zero(self.p)
+        if self.r == 0 or other.r == 0:
+            return PadicApprox(self.p, self.v + other.v, 0, 0)
+        r = min(self.r, other.r)
+        return PadicApprox(self.p, self.v + other.v,
+                           (self.unit * other.unit) % self.p**r, r)
+
+    def inv(self) -> "PadicApprox":
+        if self.exact:
+            raise ZeroDivisionError("inverse of exact zero")
+        if self.r == 0:
+            raise PrecisionError("cannot invert a value indistinguishable from zero")
+        return PadicApprox(self.p, -self.v, pow(self.unit, -1, self.p**self.r), self.r)
+
+    def is_zero_to(self, n: int) -> bool:
+        if self.exact:
+            return True
+        if self.r > 0:
+            return self.v >= n
+        if self.v >= n:
+            return True
+        raise PrecisionError(f"cannot decide vanishing mod p^{n}")
+
+    def to_witt(self, ctx: UnramifiedCtx) -> WittApprox:
+        if self.p != ctx.p:
+            raise ValueError("prime mismatch")
+        if self.exact:
+            return ctx.exact_zero()
+        if self.r == 0:
+            return ctx.zero_approx(self.v)
+        return ctx.make(self.v, (self.unit,) + (0,) * (ctx.k - 1), self.r)
+
 
 
 def test_padic_approx_matches_witt_at_degree_one():
