@@ -45,7 +45,8 @@ KNOBS = {
     "samples": (("--samples",), {"type": int, "help": "sampled points (default 20)"}),
     "seed": (("--seed",), {"type": int, "help": "sampling seed (default: the replayed "
                            f"seed, else {matrix.DEFAULT_SEED})"}),
-    "jobs": (("--jobs",), {"type": int, "help": "threads for the per-sample fan-out"}),
+    "jobs": (("--jobs",), {"type": int,
+                           "help": "threads for the per-sample fan-out (>= 1)"}),
     "points": (("--replay",), {"metavar": "FILE",
                                "help": "JSON report or sample record to re-execute"}),
     "trace": (("--trace",), {"action": "store_true", "default": None,

@@ -73,45 +73,12 @@ class XPoint:
         z = alpha * (ctx.one() + w.shift(1))
         return XPoint(ctx, z, alpha, w, zbar)
 
-    @staticmethod
-    def from_z(ctx: UnramifiedCtx, z: WittApprox) -> "XPoint":
-        zbar = residue(z)
-        if zbar.is_zero() or zbar.is_one():
-            raise ValueError("residue must avoid 0 and 1 on this locus")
-        alpha = teichmuller(ctx, zbar)
-        w = (z * alpha.inv() - ctx.one()).shift(-1)
-        return XPoint(ctx, z, alpha, w, zbar)
-
     def inverse_point(self) -> "XPoint":
         """The point 1/z, with Teichmuller part alpha^{-1}."""
         ctx = self.ctx
         t = (ctx.one() + self.w.shift(1)).inv()
         w_inv = (t - ctx.one()).shift(-1)
         return XPoint.from_alpha_w(ctx, self.alpha.inv(), w_inv)
-
-    @property
-    def is_teichmuller(self) -> bool:
-        return self.w.is_exact_zero
-
-
-@dataclass(frozen=True)
-class PolylogValue:
-    n: int
-    value: WittApprox
-
-    @property
-    def certified_precision(self):
-        return self.value.abs_prec
-
-
-def measure_value(z: WittApprox, a: int, m: int) -> WittApprox:
-    """Mass of the cell a + p^m Z_p under the measure attached to z."""
-    ctx = z.ctx
-    if not 0 <= a < ctx.p**m:
-        raise ValueError("cell index out of range")
-    if residue(z).is_zero() or residue(z).is_one():
-        raise ValueError("measure requires |z| = |z-1| = 1")
-    return z**a * (ctx.one() - z ** (ctx.p**m)).inv()
 
 
 class PolylogEvaluator:
@@ -155,7 +122,7 @@ class PolylogEvaluator:
 
     # -- measure Riemann sums ---------------------------------------------------
 
-    def li_p_riemann(self, z: WittApprox, n: int, m: int | None = None) -> PolylogValue:
+    def li_p_riemann(self, z: WittApprox, n: int, m: int | None = None) -> WittApprox:
         """Riemann sum for the Frobenius-corrected weight-n polylogarithm.
 
         The integrand x^{-n} is constant mod p^m on each cell and the measure
@@ -178,7 +145,7 @@ class PolylogEvaluator:
             for nn, vec in sums.items():
                 raw = ctx.make(0, vec, ctx.A)
                 cached[nn] = (raw * inv_factor).cap_abs(certified)
-        return PolylogValue(n, cached[n])
+        return cached[n]
 
     def _measure_sums(self, z: WittApprox, ns: list, m: int) -> tuple:
         """S_n = sum_{p∤a<p^m} a^{-n} z^a mod p^min(m,A) for each n in ns.
@@ -262,7 +229,7 @@ class PolylogEvaluator:
 
     # -- Teichmuller closed formula ---------------------------------------------
 
-    def li_n_teich(self, alpha: WittApprox, n: int, m: int | None = None) -> PolylogValue:
+    def li_n_teich(self, alpha: WittApprox, n: int, m: int | None = None) -> WittApprox:
         """Li_n at a root of unity via the finite Frobenius-orbit sum.
 
         Computes p^n/(p^{kn}-1) * sum_i p^{(k-1-i)n} Li^{(p)}_n(alpha^{p^i})
@@ -275,7 +242,7 @@ class PolylogEvaluator:
         acc = ctx.exact_zero()
         zi = alpha
         for i in range(k):
-            lip = self.li_p_riemann(zi, n, m).value
+            lip = self.li_p_riemann(zi, n, m)
             acc = acc + lip.shift((k - 1 - i) * n)
             if i + 1 < k:
                 zi = zi**p
@@ -284,7 +251,7 @@ class PolylogEvaluator:
             raise ArithmeticError(
                 f"internal error: Li_{n} at a root of unity has valuation < {n}"
             )
-        return PolylogValue(n, value)
+        return value
 
     def li_tilde(self, alpha: WittApprox, n: int, m: int | None = None) -> WittApprox:
         """p^{-n} Li_n(alpha); weight 0 is alpha/(1-alpha)."""
@@ -293,7 +260,7 @@ class PolylogEvaluator:
             if n == 0:
                 val = alpha * (self.ctx.one() - alpha).inv()
             else:
-                val = self.li_n_teich(alpha, n, m).value.shift(-n)
+                val = self.li_n_teich(alpha, n, m).shift(-n)
             self._litilde[key] = val
         return self._litilde[key]
 
@@ -348,72 +315,51 @@ class PolylogEvaluator:
 
     # -- point values ---------------------------------------------------------------
 
-    def li_n_at(self, x: XPoint, n: int, min_digits: int = 1) -> PolylogValue:
+    def li_n_at(self, x: XPoint, n: int, min_digits: int = 1) -> WittApprox:
         """Li_n(z) via the disc series; weight 0 is z/(1-z) directly."""
         if n < 0:
             raise ValueError("weight must be >= 0")
-        ctx = self.ctx
         if n == 0:
-            return PolylogValue(0, x.z * (ctx.one() - x.z).inv())
+            return x.z * (self.ctx.one() - x.z).inv()
         g = self.g_series(x.alpha, n)
-        val = g.eval_at(x.w, target=min_digits)
-        return PolylogValue(n, val.shift(n))
+        return g.eval_at(x.w, target=min_digits).shift(n)
 
     def log_at(self, x: XPoint) -> WittApprox:
         """log z; the Teichmuller factor contributes 0."""
         return padic_log(self.ctx.one() + x.w.shift(1))
 
-    def big_l_at(self, x: XPoint, n: int, min_digits: int = 1) -> PolylogValue:
+    def _log_combination(self, x: XPoint, n: int, weights: list,
+                         min_digits: int) -> WittApprox:
+        """sum_k weights[k] log^k(z) Li_{n-k}(z), for rational weights."""
+        ctx = self.ctx
+        logz = self.log_at(x)
+        acc = ctx.exact_zero()
+        logpow = ctx.one()
+        for k, c in enumerate(weights):
+            acc = acc + ctx.from_rational(c) * logpow * self.li_n_at(x, n - k, min_digits)
+            logpow = logpow * logz
+        return acc
+
+    def big_l_at(self, x: XPoint, n: int, min_digits: int = 1) -> WittApprox:
         """sum_{m=0}^{n-1} (-1)^m/m! Li_{n-m}(z) log^m(z); needs p > n."""
-        ctx = self.ctx
-        if ctx.p <= n:
-            raise ValueError(f"needs p > n, got p={ctx.p}, n={n}")
-        logz = self.log_at(x)
-        acc = ctx.exact_zero()
-        logpow = ctx.one()
-        for mm in range(n):
-            term = ctx.from_rational(Fraction((-1) ** mm, math.factorial(mm)))
-            acc = acc + term * self.li_n_at(x, n - mm, min_digits).value * logpow
-            logpow = logpow * logz
-        return PolylogValue(n, acc)
+        if self.ctx.p <= n:
+            raise ValueError(f"needs p > n, got p={self.ctx.p}, n={n}")
+        weights = [Fraction((-1) ** m, math.factorial(m)) for m in range(n)]
+        return self._log_combination(x, n, weights, min_digits)
 
-    def f_n_at(self, x: XPoint, n: int, min_digits: int = 1) -> PolylogValue:
+    def f_n_at(self, x: XPoint, n: int, min_digits: int = 1) -> WittApprox:
         """The weight-n combination sum_k a_k log^k(z) Li_{n-k}(z); p > n+1."""
-        ctx = self.ctx
-        if ctx.p <= n + 1:
-            raise ValueError(f"needs p > n+1, got p={ctx.p}, n={n}")
-        coeffs = a_coeffs(n)
-        logz = self.log_at(x)
-        acc = ctx.exact_zero()
-        logpow = ctx.one()
-        for k, ak in enumerate(coeffs):
-            acc = acc + ctx.from_rational(ak) * logpow * self.li_n_at(x, n - k, min_digits).value
-            logpow = logpow * logz
-        return PolylogValue(n, acc)
+        if self.ctx.p <= n + 1:
+            raise ValueError(f"needs p > n+1, got p={self.ctx.p}, n={n}")
+        return self._log_combination(x, n, a_coeffs(n), min_digits)
 
-    def df_n_at(self, x: XPoint, n: int, min_digits: int = 1) -> PolylogValue:
+    def df_n_at(self, x: XPoint, n: int, min_digits: int = 1) -> WittApprox:
         """D F_n in closed form: (1-z) sum_k log^k Li_{n-k-1} (a_k + (k+1)a_{k+1})."""
-        ctx = self.ctx
-        if ctx.p <= n + 1:
-            raise ValueError(f"needs p > n+1, got p={ctx.p}, n={n}")
-        coeffs = a_coeffs(n) + [Fraction(0)]  # a_n = 0
-        logz = self.log_at(x)
-        acc = ctx.exact_zero()
-        logpow = ctx.one()
-        for k in range(n):
-            factor = coeffs[k] + (k + 1) * coeffs[k + 1]
-            acc = acc + ctx.from_rational(factor) * logpow * self.li_n_at(
-                x, n - k - 1, min_digits
-            ).value
-            logpow = logpow * logz
-        return PolylogValue(n, (ctx.one() - x.z) * acc)
-
-
-# -- sampling ---------------------------------------------------------------------
-
-
-def sample_xpoint(ev: PolylogEvaluator, rng: SplitMix64) -> XPoint:
-    return ev.xpoint(sample_zbar(ev.ctx, rng), sample_w(ev.ctx, rng))
+        if self.ctx.p <= n + 1:
+            raise ValueError(f"needs p > n+1, got p={self.ctx.p}, n={n}")
+        a = a_coeffs(n) + [Fraction(0)]  # a_n = 0
+        weights = [a[k] + (k + 1) * a[k + 1] for k in range(n)]
+        return (self.ctx.one() - x.z) * self._log_combination(x, n - 1, weights, min_digits)
 
 
 # -- verification drivers ------------------------------------------------------------
@@ -449,7 +395,7 @@ def verify_theorem(
 
     def reduction(zbar: FpkElement, w: WittApprox):
         df = ev.df_n_at(ev.xpoint(zbar, w), n)
-        return df.value.valuation_ge(n - 1), residue(df.value.shift(1 - n))
+        return df.valuation_ge(n - 1), residue(df.shift(1 - n))
 
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
         val_ok, lhs = reduction(zbar, w)
@@ -505,7 +451,7 @@ def check_prop_reduction(
     field = ctx.residue_field
 
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
-        lhs = residue(ev.li_p_riemann(ev.xpoint(zbar, w).z, n).value)
+        lhs = residue(ev.li_p_riemann(ev.xpoint(zbar, w).z, n))
         rhs = li_finite(n, zbar) * (field.one() - zbar**p).inverse()
         return {"lhsResidue": list(lhs.coeffs), "rhsResidue": list(rhs.coeffs),
                 "pass": lhs == rhs}
@@ -522,7 +468,6 @@ def check_corollary(
     ns: tuple = (1, 2, 3),
     A: int | None = None,
     m: int = 2,
-    jobs: int = 1,
 ) -> dict:
     """Exhaustive root-of-unity check: v_p(Li_n(alpha)) >= n and the mod-p
     value -li_n(sigma(alphabar))/(1-alphabar), for every residue not 0 or 1.
@@ -547,15 +492,15 @@ def check_corollary(
             index += 1
             try:
                 li = ev.li_n_teich(alpha, n)
-                tilde = li.value.shift(-n)
-                rec["valuationOk"] = li.value.valuation_ge(n)
+                tilde = li.shift(-n)
+                rec["valuationOk"] = li.valuation_ge(n)
                 lhs = residue(tilde)
                 rhs = -(li_finite(n, sigma(alphabar)) * (field.one() - alphabar).inverse())
                 rec["lhsResidue"] = list(lhs.coeffs)
                 rec["rhsResidue"] = list(rhs.coeffs)
                 rec["pass"] = rec["valuationOk"] and lhs == rhs
                 if alphabar == minus_one and n % 2 == 0:
-                    extra = li.value.valuation_ge(n + 1)
+                    extra = li.valuation_ge(n + 1)
                     rec["extraValuationOk"] = extra
                     rec["pass"] = rec["pass"] and extra
             except PrecisionError as e:
@@ -594,7 +539,7 @@ def check_maincong(
 
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
         x = ev.xpoint(zbar, w)
-        lhs = residue(ev.li_n_at(x, n).value.shift(-n))
+        lhs = residue(ev.li_n_at(x, n).shift(-n))
         wbar = residue(w)
         rhs = field.zero()
         wpow = field.one()
@@ -605,7 +550,7 @@ def check_maincong(
                 "pass": lhs == rhs}
 
     # M is not in the params, so a replay falls back to the default order
-    # (ROADMAP item 4)
+    # (ROADMAP item 3)
     return report_mod.sampled_report(
         "maincong", {"p": p, "n": n, "k": k, "A": A, "m": m}, ctx, measure,
         samples, seed, jobs, points,
@@ -698,14 +643,11 @@ def check_functional_equation(
 
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
         x = ev.xpoint(zbar, w)
-        fz = ev.f_n_at(x, n).value
-        finv = ev.f_n_at(x.inverse_point(), n).value
+        fz = ev.f_n_at(x, n)
+        finv = ev.f_n_at(x.inverse_point(), n)
         inversion_ok = (fz + ctx.from_int(sign) * finv).is_zero_to(check_digits)
         logz = ev.log_at(x)
-        viaL = (
-            ctx.from_int(-n) * ev.big_l_at(x, n).value
-            - ev.big_l_at(x, n - 1).value * logz
-        )
+        viaL = ctx.from_int(-n) * ev.big_l_at(x, n) - ev.big_l_at(x, n - 1) * logz
         l_route_ok = (fz - viaL).is_zero_to(check_digits)
         return {"inversionOk": inversion_ok, "lRouteOk": l_route_ok,
                 "pass": inversion_ok and l_route_ok}

@@ -220,12 +220,6 @@ class FpkElement:
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
 
-    def to_int(self) -> int:
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.field.p + c
-        return n
-
     def __repr__(self):
         return f"Fpk({list(self.coeffs)} mod {self.field.p})"
 
@@ -250,11 +244,6 @@ def li_finite(n: int, x: FpkElement) -> FpkElement:
     return acc
 
 
-def li_finite_coeff_vector(p: int, n: int) -> tuple:
-    """Coefficients (c_1 .. c_{p-1}) of the degree p-1 polynomial behind li_finite."""
-    return _li_coeff_table(p, n)
-
-
 def sigma(x: FpkElement) -> FpkElement:
     """Inverse Frobenius on F_{p^k}: x -> x^{p^{k-1}}."""
     return x ** (x.field.p ** (x.field.k - 1))
@@ -273,43 +262,41 @@ class InversionReport:
         return not self.counterexamples
 
 
-def check_inversion_identity(n: int, field: FiniteField) -> InversionReport:
-    """Check z*li_{n-1}(1/z) + (-1)^n li_{n-1}(z) = 0 for every unit z.
+def inversion_identities(n: int, field: FiniteField) -> tuple:
+    """Both inversion forms over every unit z, in one pass over the field:
 
-    This form is an identity on F_p but not on proper extensions; see
-    check_inversion_identity_frobenius for the version that holds on every
-    F_{p^k}.  Counterexamples are reported, not raised.
+        plain:    z   * li_{n-1}(1/z) + (-1)^n li_{n-1}(z) = 0,
+        twisted:  z^p * li_{n-1}(1/z) + (-1)^n li_{n-1}(z) = 0.
+
+    The twisted form is the exact polynomial identity behind inversion:
+    substituting j -> p-j in sum_j z^{p-j}/j^{n-1} makes the two terms cancel
+    termwise, for any k.  The plain form is an identity on F_p, where z^p = z,
+    but not on proper extensions.  Returns the (plain, twisted) reports;
+    counterexamples are reported, not raised.
     """
     if n < 2:
         raise ValueError("identity needs weight n >= 2")
     sign = -1 if n % 2 else 1
-    bad = []
+    plain, twisted = [], []
     count = 0
     for z in field.units():
-        lhs = z * li_finite(n - 1, z.inverse())
+        li_inv = li_finite(n - 1, z.inverse())
         rhs = li_finite(n - 1, z) * sign
         count += 1
-        if not (lhs + rhs).is_zero():
-            bad.append({"z": list(z.coeffs), "lhs": list(lhs.coeffs), "rhs": list(rhs.coeffs)})
-    return InversionReport(field.p, field.k, n, count, bad)
+        for bad, factor in ((plain, z), (twisted, z**field.p)):
+            lhs = factor * li_inv
+            if not (lhs + rhs).is_zero():
+                bad.append({"z": list(z.coeffs), "lhs": list(lhs.coeffs),
+                            "rhs": list(rhs.coeffs)})
+    return (InversionReport(field.p, field.k, n, count, plain),
+            InversionReport(field.p, field.k, n, count, twisted))
+
+
+def check_inversion_identity(n: int, field: FiniteField) -> InversionReport:
+    """The plain form of ``inversion_identities``: false on F_{p^k}, k >= 2."""
+    return inversion_identities(n, field)[0]
 
 
 def check_inversion_identity_frobenius(n: int, field: FiniteField) -> InversionReport:
-    """Check z^p * li_{n-1}(1/z) + (-1)^n li_{n-1}(z) = 0 for every unit z.
-
-    The exact polynomial identity behind inversion: substituting j -> p-j in
-    sum_j z^{p-j}/j^{n-1} makes the two terms cancel termwise, for any k.
-    On F_p it coincides with the plain form since z^p = z.
-    """
-    if n < 2:
-        raise ValueError("identity needs weight n >= 2")
-    sign = -1 if n % 2 else 1
-    bad = []
-    count = 0
-    for z in field.units():
-        lhs = z**field.p * li_finite(n - 1, z.inverse())
-        rhs = li_finite(n - 1, z) * sign
-        count += 1
-        if not (lhs + rhs).is_zero():
-            bad.append({"z": list(z.coeffs), "lhs": list(lhs.coeffs), "rhs": list(rhs.coeffs)})
-    return InversionReport(field.p, field.k, n, count, bad)
+    """The z^p-twisted form of ``inversion_identities``: holds on every F_{p^k}."""
+    return inversion_identities(n, field)[1]

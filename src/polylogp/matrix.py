@@ -12,11 +12,7 @@ from dataclasses import dataclass
 from types import ModuleType
 
 from . import coleman, identities, section3
-from .finite_poly import (
-    FiniteField,
-    check_inversion_identity,
-    check_inversion_identity_frobenius,
-)
+from .finite_poly import FiniteField, inversion_identities
 from . import report as report_mod
 
 DEFAULT_SEED = 20260809
@@ -71,8 +67,7 @@ def inversion_check_report(p: int, k: int = 1, ns=(2, 3, 4, 5, 6)) -> dict:
     field = FiniteField(p, k)
     records = []
     for idx, n in enumerate(ns):
-        rep = check_inversion_identity(n, field)
-        frob = check_inversion_identity_frobenius(n, field)
+        rep, frob = inversion_identities(n, field)
         records.append(
             {
                 "index": idx,

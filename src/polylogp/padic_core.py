@@ -20,20 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .finite_poly import FiniteField, FpkElement, lowest_irreducible
+from .finite_poly import FiniteField, FpkElement
 
 
 class PrecisionError(ArithmeticError):
     """A certification was requested that the tracked precision cannot give."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def int_val(c: int, p: int) -> int:
@@ -56,19 +47,15 @@ class UnramifiedCtx:
     """
 
     def __init__(self, p: int, k: int, A: int):
-        if p % 2 == 0 or not _is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if k < 1:
-            raise ValueError(f"extension degree must be >= 1, got {k}")
+        self.residue_field = FiniteField(p, k)  # validates p and k
         if A < 1:
             raise ValueError(f"precision must be >= 1, got {A}")
         self.p = p
         self.k = k
         self.A = A
-        self.hbar = lowest_irreducible(p, k)  # (c_0, ..., c_{k-1}, 1)
+        self.hbar = self.residue_field.hbar  # (c_0, ..., c_{k-1}, 1)
         self.h = self.hbar  # lift with coefficients in [0, p)
         self.pA = p**A
-        self.residue_field = FiniteField(p, k, self.hbar)
         self._pow_p = [p**i for i in range(A + 1)]
 
     def __eq__(self, other):
@@ -205,11 +192,6 @@ class _ZeroVecs(dict):
 _ZVEC = _ZeroVecs()
 
 
-def make_ctx(p: int, k: int, A: int) -> UnramifiedCtx:
-    """Context for W(F_{p^k}) mod p^A with the deterministic modulus choice."""
-    return UnramifiedCtx(p, k, A)
-
-
 @dataclass(frozen=True)
 class WittApprox:
     """p^scale * coeffs + O(p^{scale+prec}), coeffs a unit vector mod p^prec.
@@ -229,10 +211,6 @@ class WittApprox:
     @property
     def is_exact_zero(self) -> bool:
         return self.exact
-
-    @property
-    def is_unit_form(self) -> bool:
-        return not self.exact and self.prec > 0
 
     @property
     def abs_prec(self):
@@ -391,21 +369,6 @@ class WittApprox:
 
     # -- reductions and comparisons -------------------------------------------
 
-    def residue_elem(self) -> FpkElement:
-        """Reduction mod p into F_{p^k}; requires an integral value."""
-        field = self.ctx.residue_field
-        if self.exact:
-            return field.zero()
-        if self.prec == 0:
-            if self.scale >= 1:
-                return field.zero()
-            raise PrecisionError("residue of a value only known as O(p^0) or worse")
-        if self.scale < 0:
-            raise ValueError("residue of a non-integral value (negative scale)")
-        if self.scale > 0:
-            return field.zero()
-        return field.element([c % self.ctx.p for c in self.coeffs])
-
     def eq_to_prec(self, other: "WittApprox", digits: int | None = None) -> bool:
         """Equality to certified precision (optionally at least ``digits``)."""
         diff = self - other
@@ -487,5 +450,12 @@ def padic_log(u: WittApprox) -> WittApprox:
 
 
 def residue(z: WittApprox) -> FpkElement:
-    """Coefficient-wise reduction W -> F_{p^k}."""
-    return z.residue_elem()
+    """Reduction mod p into F_{p^k}; requires an integral value."""
+    field = z.ctx.residue_field
+    if z.exact or z.scale >= 1:
+        return field.zero()
+    if z.prec == 0:
+        raise PrecisionError("residue of a value only known as O(p^0) or worse")
+    if z.scale < 0:
+        raise ValueError("residue of a non-integral value (negative scale)")
+    return field.element([c % z.ctx.p for c in z.coeffs])

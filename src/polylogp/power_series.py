@@ -37,11 +37,6 @@ class TailBound:
     def is_infinite(self) -> bool:
         return self.offset is None
 
-    def at(self, j: int) -> int | None:
-        if self.offset is None:
-            return None
-        return math.floor(self.slope * j + self.offset)
-
     def add(self, other: "TailBound") -> "TailBound":
         if self.offset is None:
             return other

@@ -33,7 +33,7 @@ def check_weight(command: str, p: int, n: int, low: int, gap: int | None = None)
 
 def run_samples(count: int, fn, jobs: int = 1) -> list:
     """Evaluate fn(0..count-1); order of the result is always by index."""
-    if jobs and jobs > 1:
+    if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(fn, range(count)))
     else:
@@ -104,11 +104,14 @@ def sampled_report(command: str, params: dict, ctx: UnramifiedCtx, measure,
     when ``with_wz``).  ``measure(zbar, [wz,] w)`` returns the check's fields
     and its ``pass``; a PrecisionError becomes a ``precisionShortfall``
     record.  ``finish(records, rng)``, if given, returns report-level fields
-    whose ``pass`` joins the records' verdict.
+    whose ``pass`` joins the records' verdict; a PrecisionError there too
+    becomes a report-level ``precisionShortfall``.
     """
     count = len(points) if points is not None else samples
     if count < 1:
         raise ConfigError(f"{command} needs at least one sample, got {count}")
+    if jobs < 1:
+        raise ConfigError(f"{command} needs --jobs >= 1, got {jobs}")
     rng = SplitMix64(seed)
     names = ("wz", "w") if with_wz else ("w",)
 
@@ -129,7 +132,12 @@ def sampled_report(command: str, params: dict, ctx: UnramifiedCtx, measure,
         return rec
 
     records = run_samples(count, one_sample, jobs)
-    extra = finish(records, rng) if finish is not None else None
+    extra = None
+    if finish is not None:
+        try:
+            extra = finish(records, rng)
+        except PrecisionError as e:
+            extra = {"precisionShortfall": str(e), "pass": False}
     return assemble(command, {**params, "samples": count, "seed": seed}, ctx, records,
                     extra)
 

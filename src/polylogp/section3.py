@@ -123,7 +123,7 @@ def delprop_check(
             logpow = logpow * logS
         lhs = -lhs
         l_at_alpha = ev.li_tilde(alpha, n + 1).shift(n + 1)
-        l_at_s = ev.big_l_at(x, n + 1).value
+        l_at_s = ev.big_l_at(x, n + 1)
         rhs = ctx.from_int((-1) ** n * facts[n]) * (l_at_alpha - l_at_s)
         return {"lhs": lhs.to_record(), "rhs": rhs.to_record(),
                 "pass": (lhs - rhs).is_zero_to(check_digits)}
@@ -240,12 +240,8 @@ def e_recover_check(
         for mm in range(1, n + 1):
             if ecs[mm] == 0:
                 continue
-            lhs = lhs + (
-                ctx.from_rational(ecs[mm])
-                * ev.big_l_at(x, mm).value
-                * logz ** (n - mm)
-            )
-        rhs = ev.f_n_at(x, n).value
+            lhs = lhs + ctx.from_rational(ecs[mm]) * ev.big_l_at(x, mm) * logz ** (n - mm)
+        rhs = ev.f_n_at(x, n)
         return {"lhs": lhs.to_record(), "rhs": rhs.to_record(),
                 "pass": (lhs - rhs).is_zero_to(check_digits)}
 

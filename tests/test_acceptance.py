@@ -30,7 +30,7 @@ from polylogp.finite_poly import (
 )
 from polylogp.identities import a_coeffs, c_sum, conds_nullity, d_sum, \
     perturbation_detected, solve_conds
-from polylogp.padic_core import make_ctx
+from polylogp.padic_core import UnramifiedCtx
 from polylogp.power_series import TruncSeries
 from polylogp.report import to_json
 from polylogp.rng import SplitMix64
@@ -216,7 +216,7 @@ def test_criterion_12_inversion_identity_as_stated():
 
 def test_criterion_13_infrastructure():
     # randomized arithmetic against independent exact-integer oracles
-    ctx = make_ctx(7, 2, 5)
+    ctx = UnramifiedCtx(7, 2, 5)
     pA = ctx.pA
     rng = SplitMix64(5150)
     arith_cases = 0
@@ -238,7 +238,7 @@ def test_criterion_13_infrastructure():
         assert ((a + b) - ctx.from_vec(oracle_add)).is_zero_to(5)
 
     # series operations against a plain integer convolution oracle
-    ctx1 = make_ctx(5, 1, 5)
+    ctx1 = UnramifiedCtx(5, 1, 5)
     p5 = ctx1.pA
     series_cases = 0
     while series_cases < 1000:

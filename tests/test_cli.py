@@ -281,11 +281,30 @@ def test_env_overrides_apply_to_every_check_that_takes_them(capsys, monkeypatch,
     (("f-lemmas", "--p", "7", "--n", "-1"), "f-lemmas needs n >= 0"),
     (("theorem", "--p", "5", "--n", "1"), "theorem needs n >= 2"),
     (("maincong", "--replay", "/nonexistent"), "No such file"),
+    (("theorem", "--p", "5", "--n", "2", "--samples", "2", "--jobs", "0"),
+     "theorem needs --jobs >= 1, got 0"),
+    (("theorem", "--p", "5", "--n", "2", "--samples", "2", "--jobs", "-3"),
+     "theorem needs --jobs >= 1, got -3"),
+    (("all", "--jobs", "0"), "needs --jobs >= 1, got 0"),
 ])
 def test_invalid_configuration_exits_two(capsys, argv, message):
     code, _, err = run(capsys, "verify", *argv)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("theorem", "--p", "5", "--n", "2", "-A", "1"),
+    ("theorem", "--p", "7", "--n", "3", "-M", "1"),
+])
+def test_theorem_precision_shortfall_is_recorded_not_raised(capsys, argv):
+    # the w-independence step runs after the samples and once raised from there
+    code, out, _ = run(capsys, "verify", *argv, "--samples", "2", "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert "precisionShortfall" in report
+    assert "wIndependence" not in report
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,19 +16,42 @@ from polylogp.coleman import (
     default_precision,
     default_riemann_m,
     factorial_valuation,
-    measure_value,
     sample_w,
-    sample_xpoint,
     verify_theorem,
 )
 from polylogp.finite_poly import li_finite
-from polylogp.padic_core import make_ctx, residue
-from polylogp.report import to_json
+from polylogp.padic_core import UnramifiedCtx, residue, teichmuller
+from polylogp.report import sample_zbar, to_json
 from polylogp.rng import SplitMix64
 
 
+def sample_xpoint(ev, rng):
+    """A point of the locus: a uniform residue, then a uniform disc coordinate."""
+    return ev.xpoint(sample_zbar(ev.ctx, rng), sample_w(ev.ctx, rng))
+
+
+def xpoint_from_z(ctx, z):
+    """Split z into its Teichmuller part alpha and disc coordinate w."""
+    zbar = residue(z)
+    if zbar.is_zero() or zbar.is_one():
+        raise ValueError("residue must avoid 0 and 1 on this locus")
+    alpha = teichmuller(ctx, zbar)
+    w = (z * alpha.inv() - ctx.one()).shift(-1)
+    return XPoint(ctx, z, alpha, w, zbar)
+
+
+def measure_value(z, a, m):
+    """Mass of the cell a + p^m Z_p under the measure attached to z."""
+    ctx = z.ctx
+    if not 0 <= a < ctx.p**m:
+        raise ValueError("cell index out of range")
+    if residue(z).is_zero() or residue(z).is_one():
+        raise ValueError("measure requires |z| = |z-1| = 1")
+    return z**a * (ctx.one() - z ** (ctx.p**m)).inv()
+
+
 def _evaluator(p, n, k=1):
-    ctx = make_ctx(p, k, default_precision(n))
+    ctx = UnramifiedCtx(p, k, default_precision(n))
     return ctx, PolylogEvaluator(ctx, default_riemann_m(n), max_weight=n)
 
 
@@ -44,7 +67,7 @@ def test_measure_total_mass():
 
 def test_measure_at_minus_one():
     for p in (5, 7, 11):
-        ctx = make_ctx(p, 1, 4)
+        ctx = UnramifiedCtx(p, 1, 4)
         got = measure_value(ctx.from_int(-1), 0, 1)
         assert got.eq_to_prec(ctx.from_int(2).inv())
 
@@ -66,7 +89,7 @@ def test_measure_additivity_over_refinement():
 
 
 def test_measure_rejects_bad_points():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     with pytest.raises(ValueError):
         measure_value(ctx.one(), 0, 1)  # residue 1 not allowed
 
@@ -90,7 +113,7 @@ def test_weight_zero_riemann_sum_telescopes_exactly():
 
     ctx, ev = _evaluator(p, 2)
     z = ctx.from_int(z_int)
-    got = ev.li_p_riemann(z, 0, m).value
+    got = ev.li_p_riemann(z, 0, m)
     ring_expected = z * (ctx.one() - z).inv() - (z**p) * (ctx.one() - z**p).inv()
     assert (got - ring_expected).is_zero_to(m)
 
@@ -104,7 +127,7 @@ def test_riemann_reduction_mod_p_sampled():
             for i in range(8):
                 x = sample_xpoint(ev, rng.fork(i))
                 lip = ev.li_p_riemann(x.z, n)
-                lhs = residue(lip.value)
+                lhs = residue(lip)
                 rhs = li_finite(n, x.zbar) * (field.one() - x.zbar**p).inverse()
                 assert lhs == rhs
 
@@ -114,8 +137,8 @@ def test_riemann_m_consistency():
     rng = SplitMix64(4)
     x = sample_xpoint(ev, rng)
     for n in (1, 2):
-        small = ev.li_p_riemann(x.z, n, 2).value
-        large = ev.li_p_riemann(x.z, n, 3).value
+        small = ev.li_p_riemann(x.z, n, 2)
+        large = ev.li_p_riemann(x.z, n, 3)
         assert (small - large).is_zero_to(2)
 
 
@@ -131,19 +154,19 @@ def test_corollary_reduction_exhaustive_small():
 def test_even_weight_at_minus_one_gains_a_digit():
     # li_n(-1) = 0 for even n and 1-(-1) = 2 is a unit, so one extra digit
     for p in (5, 7):
-        ctx = make_ctx(p, 1, 7)
+        ctx = UnramifiedCtx(p, 1, 7)
         ev = PolylogEvaluator(ctx, 4, max_weight=2)
         alpha = ctx.from_int(-1)
         li2 = ev.li_n_teich(alpha, 2)
-        assert li2.value.valuation_ge(3)
+        assert li2.valuation_ge(3)
 
 
 def test_degree_one_orbit_formula_degenerates():
     # k=1: Li_n(alpha) = p^n/(p^n - 1) Li^(p)_n(alpha)
     ctx, ev = _evaluator(7, 2)
     alpha = ev.teich(ctx.residue_field.element(3))
-    lin = ev.li_n_teich(alpha, 2).value
-    lip = ev.li_p_riemann(alpha, 2).value
+    lin = ev.li_n_teich(alpha, 2)
+    lip = ev.li_p_riemann(alpha, 2)
     expected = lip.shift(2) * ctx.from_int(7**2 - 1).inv()
     assert (lin - expected).is_zero_to(min(lin.abs_prec, expected.abs_prec))
 
@@ -220,8 +243,8 @@ def test_disc_series_tail_soundness_spot_check():
 
 def test_li0_at_minus_one():
     ctx, ev = _evaluator(5, 1)
-    x = XPoint.from_z(ctx, ctx.from_int(-1))
-    li0 = ev.li_n_at(x, 0).value
+    x = xpoint_from_z(ctx, ctx.from_int(-1))
+    li0 = ev.li_n_at(x, 0)
     expected = ctx.from_rational(Fraction(-1, 2))
     assert (li0 - expected).is_zero_to(4)
 
@@ -230,8 +253,8 @@ def test_li_n_at_teichmuller_point_matches_orbit_formula():
     ctx, ev = _evaluator(7, 2)
     alpha = ev.teich(ctx.residue_field.element(5))
     x = XPoint.from_alpha_w(ctx, alpha, ctx.exact_zero())
-    via_series = ev.li_n_at(x, 2).value
-    via_orbit = ev.li_n_teich(alpha, 2).value
+    via_series = ev.li_n_at(x, 2)
+    via_orbit = ev.li_n_teich(alpha, 2)
     assert (via_series - via_orbit).is_zero_to(
         min(via_series.abs_prec, via_orbit.abs_prec)
     )
@@ -257,8 +280,8 @@ def test_big_l_weight_one_is_li_one():
     ctx, ev = _evaluator(7, 1)
     rng = SplitMix64(21)
     x = sample_xpoint(ev, rng)
-    l1 = ev.big_l_at(x, 1).value
-    li1 = ev.li_n_at(x, 1).value
+    l1 = ev.big_l_at(x, 1)
+    li1 = ev.li_n_at(x, 1)
     assert (l1 - li1).is_zero_to(min(l1.abs_prec, li1.abs_prec))
 
 
@@ -266,8 +289,8 @@ def test_big_l_at_teichmuller_is_orbit_value():
     ctx, ev = _evaluator(7, 3)
     alpha = ev.teich(ctx.residue_field.element(2))
     x = XPoint.from_alpha_w(ctx, alpha, ctx.exact_zero())
-    lval = ev.big_l_at(x, 3).value
-    teich_val = ev.li_n_teich(alpha, 3).value
+    lval = ev.big_l_at(x, 3)
+    teich_val = ev.li_n_teich(alpha, 3)
     assert (lval - teich_val).is_zero_to(min(lval.abs_prec, teich_val.abs_prec))
 
 
@@ -275,11 +298,11 @@ def test_df_reduction_at_minus_one():
     # weight 2 at z = -1: the reduction is li_1(p-1), inverse Frobenius trivial
     for p in (7, 11):
         ctx, ev = _evaluator(p, 2)
-        x = XPoint.from_z(ctx, ctx.from_int(-1))
+        x = xpoint_from_z(ctx, ctx.from_int(-1))
         df = ev.df_n_at(x, 2)
-        assert df.value.valuation_ge(1)
+        assert df.valuation_ge(1)
         field = ctx.residue_field
-        assert residue(df.value.shift(-1)) == li_finite(1, field.element(p - 1))
+        assert residue(df.shift(-1)) == li_finite(1, field.element(p - 1))
 
 
 def test_theorem_rejects_small_prime():
@@ -300,13 +323,13 @@ def test_big_l_rejects_small_prime():
 
 def test_cross_check_li1_is_minus_log_one_minus_z():
     for p, k in ((5, 1), (7, 2)):
-        ctx = make_ctx(p, k, 6)
+        ctx = UnramifiedCtx(p, k, 6)
         ev = PolylogEvaluator(ctx, 5, max_weight=1)
         rng = SplitMix64(p)
         for i in range(10):
             x = sample_xpoint(ev, rng.fork(i))
-            one_minus = XPoint.from_z(ctx, ctx.one() - x.z)
-            li1 = ev.li_n_at(x, 1).value
+            one_minus = xpoint_from_z(ctx, ctx.one() - x.z)
+            li1 = ev.li_n_at(x, 1)
             neg_log = -ev.log_at(one_minus)
             assert (li1 - neg_log).is_zero_to(
                 min(3, li1.abs_prec, neg_log.abs_prec)

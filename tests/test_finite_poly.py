@@ -6,12 +6,13 @@ from polylogp.finite_poly import (
     FiniteField,
     check_inversion_identity,
     check_inversion_identity_frobenius,
+    inversion_identities,
     is_irreducible,
     li_finite,
-    li_finite_coeff_vector,
     lowest_irreducible,
     sigma,
 )
+from polylogp.matrix import CHECKS
 
 PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -84,7 +85,7 @@ def test_li_evaluate_vs_expanded_polynomial():
     for p, k in ((5, 1), (5, 2), (7, 1)):
         field = FiniteField(p, k)
         for n in (1, 2, 3):
-            coeffs = li_finite_coeff_vector(p, n)
+            coeffs = [pow(j, -n, p) for j in range(1, p)]  # c_j = j^{-n}
             for z in field.elements():
                 acc = field.zero()
                 for c in reversed(coeffs):
@@ -152,6 +153,42 @@ def test_frobenius_corrected_inversion_identity_everywhere():
                 assert check_inversion_identity_frobenius(n, field).passed, (p, k, n)
 
 
+def _inversion_loop(n, field, e):
+    """The direct oracle: one walk over the units for the form with z^e."""
+    sign = -1 if n % 2 else 1
+    bad = []
+    count = 0
+    for z in field.units():
+        lhs = z**e * li_finite(n - 1, z.inverse())
+        rhs = li_finite(n - 1, z) * sign
+        count += 1
+        if not (lhs + rhs).is_zero():
+            bad.append({"z": list(z.coeffs), "lhs": list(lhs.coeffs), "rhs": list(rhs.coeffs)})
+    return count, bad
+
+
+@pytest.mark.parametrize("cell", CHECKS["inversion"].full, ids=lambda c: f"p{c['p']}k{c['k']}")
+def test_one_pass_inversion_matches_the_direct_loops(cell):
+    p, k = cell["p"], cell["k"]
+    field = FiniteField(p, k)
+    for n in cell["ns"]:
+        plain, twisted = inversion_identities(n, field)
+        for rep, e in ((plain, 1), (twisted, p)):
+            count, bad = _inversion_loop(n, field, e)
+            assert (rep.p, rep.k, rep.n) == (p, k, n)
+            assert rep.checked == count == p**k - 1
+            assert rep.counterexamples == bad, (p, k, n, e)
+        assert check_inversion_identity(n, field) == plain
+        assert check_inversion_identity_frobenius(n, field) == twisted
+        if k == 1:  # z^p = z on F_p, so the two forms are one
+            assert plain == twisted
+
+
+def test_one_pass_inversion_covers_the_full_matrix_fields():
+    cells = {(c["p"], c["k"], tuple(c["ns"])) for c in CHECKS["inversion"].full}
+    assert cells == {(p, k, (2, 3, 4, 5, 6)) for p in (5, 7, 11, 13) for k in (1, 2)}
+
+
 # -- field sanity ------------------------------------------------------------------
 
 
@@ -169,4 +206,5 @@ def test_field_axioms_small():
 def test_element_int_encoding_round_trip():
     field = FiniteField(7, 2)
     for t in range(49):
-        assert field.from_int(t).to_int() == t
+        digits = field.from_int(t).coeffs  # low digit = constant term
+        assert sum(c * 7**i for i, c in enumerate(digits)) == t

@@ -13,7 +13,6 @@ from polylogp.padic_core import (
     UnramifiedCtx,
     WittApprox,
     int_val,
-    make_ctx,
     padic_log,
     residue,
     teichmuller,
@@ -25,26 +24,26 @@ from polylogp.rng import SplitMix64
 
 
 def test_ctx_degree_one_modulus_is_x():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     assert ctx.hbar == (0, 1)
 
 
 def test_ctx_degree_two_modulus_is_first_lex_irreducible():
-    ctx = make_ctx(5, 2, 4)
+    ctx = UnramifiedCtx(5, 2, 4)
     assert ctx.hbar == (1, 1, 1)  # x^2 + x + 1, irreducible over F_5
 
 
 def test_ctx_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        make_ctx(4, 1, 4)
+        UnramifiedCtx(4, 1, 4)
     with pytest.raises(ValueError):
-        make_ctx(9, 1, 4)
+        UnramifiedCtx(9, 1, 4)
     with pytest.raises(ValueError):
-        make_ctx(2, 1, 4)
+        UnramifiedCtx(2, 1, 4)
     with pytest.raises(ValueError):
-        make_ctx(5, 0, 4)
+        UnramifiedCtx(5, 0, 4)
     with pytest.raises(ValueError):
-        make_ctx(5, 1, 0)
+        UnramifiedCtx(5, 1, 0)
 
 
 # -- arithmetic vs exact-integer oracles ----------------------------------------
@@ -67,7 +66,7 @@ def _naive_poly_mulmod(a, b, h, pm):
 
 @pytest.mark.parametrize("p,k,A", [(5, 1, 6), (7, 1, 5), (5, 2, 4), (7, 2, 4)])
 def test_unit_arithmetic_matches_integer_oracle(p, k, A):
-    ctx = make_ctx(p, k, A)
+    ctx = UnramifiedCtx(p, k, A)
     pA = p**A
     rng = SplitMix64(101)
     checked = 0
@@ -89,18 +88,18 @@ def test_unit_arithmetic_matches_integer_oracle(p, k, A):
 
 
 def test_inverse_of_two_mod_625():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     assert ctx.from_int(2).inv().coeffs == (313,)
 
 
 def test_inverse_of_one_is_one():
-    ctx = make_ctx(7, 2, 4)
+    ctx = UnramifiedCtx(7, 2, 4)
     assert ctx.one().inv().eq_to_prec(ctx.one())
 
 
 def test_scale_bookkeeping_through_mul():
     # (p*u) * (p^{-1}*v) lands back at scale 0
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     a = ctx.from_int(10)  # 5 * 2
     b = ctx.from_int(3).inv().shift(-1)  # 5^{-1} * 3^{-1}
     prod = a * b
@@ -108,14 +107,14 @@ def test_scale_bookkeeping_through_mul():
 
 
 def test_division_by_p_power_lowers_scale_exactly():
-    ctx = make_ctx(5, 1, 6)
+    ctx = UnramifiedCtx(5, 1, 6)
     a = ctx.from_int(7)
     assert (a / ctx.from_int(25)).valuation() == -2
     assert (a / ctx.from_int(25)).abs_prec == a.abs_prec - 2
 
 
 def test_inverting_uncertified_zero_raises():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     approx = ctx.zero_approx(4)
     with pytest.raises(PrecisionError):
         approx.inv()
@@ -126,7 +125,7 @@ def test_inverting_uncertified_zero_raises():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
 def test_ring_laws_on_embedded_integers(x, y):
-    ctx = make_ctx(7, 2, 5)
+    ctx = UnramifiedCtx(7, 2, 5)
     a, b = ctx.from_int(x), ctx.from_int(y)
     assert (a + b).eq_to_prec(b + a)
     assert (a * b).eq_to_prec(b * a)
@@ -139,7 +138,7 @@ def test_ring_laws_on_embedded_integers(x, y):
 
 
 def test_zero_state_distinction():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     exact = ctx.exact_zero()
     approx = ctx.zero_approx(4)
     assert exact.is_exact_zero and not approx.is_exact_zero
@@ -153,14 +152,14 @@ def test_zero_state_distinction():
 
 
 def test_cancellation_produces_approx_zero_not_exact():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     diff = ctx.from_int(7) - ctx.from_int(7)
     assert not diff.is_exact_zero
     assert diff.is_zero_to(4)
 
 
 def test_precision_is_monotone_nonincreasing():
-    ctx = make_ctx(5, 2, 5)
+    ctx = UnramifiedCtx(5, 2, 5)
     rng = SplitMix64(3)
     for _ in range(300):
         va = tuple(rng.below(ctx.pA) for _ in range(2))
@@ -188,7 +187,7 @@ def test_precision_is_monotone_nonincreasing():
 )
 def test_teichmuller_exhaustive(p, k):
     # p^k <= 121 throughout: root-of-unity property and residue round-trip
-    ctx = make_ctx(p, k, 5)
+    ctx = UnramifiedCtx(p, k, 5)
     field = ctx.residue_field
     q = p**k
     for a in field.units():
@@ -199,20 +198,20 @@ def test_teichmuller_exhaustive(p, k):
 
 def test_teichmuller_frozen_example():
     # the lift of 2 in Z_5 is 7 mod 25
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     t = teichmuller(ctx, ctx.residue_field.element(2))
     assert t.coeffs[0] % 25 == 7
     assert (t**5).eq_to_prec(t)
 
 
 def test_teichmuller_of_minus_one():
-    ctx = make_ctx(7, 1, 5)
+    ctx = UnramifiedCtx(7, 1, 5)
     t = teichmuller(ctx, ctx.residue_field.element(6))
     assert (t + ctx.one()).is_zero_to(5)
 
 
 def test_teichmuller_rejects_zero():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     with pytest.raises(ValueError):
         teichmuller(ctx, ctx.residue_field.zero())
 
@@ -222,31 +221,31 @@ def test_teichmuller_rejects_zero():
 
 def test_log_frozen_value():
     # exact rational partial sum 5 - 25/2 + 125/3 reduced mod 625 is 555
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     lg = padic_log(ctx.from_int(6))
     assert (lg - ctx.from_int(555)).is_zero_to(4)
 
 
 def test_log_of_one_is_zero():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     assert padic_log(ctx.one()).is_zero_to(4)
 
 
 def test_log_leading_term():
     for p in (5, 7, 11):
-        ctx = make_ctx(p, 1, 4)
+        ctx = UnramifiedCtx(p, 1, 4)
         lg = padic_log(ctx.from_int(1 + p))
         assert (lg - ctx.from_int(p)).is_zero_to(2)
 
 
 def test_log_requires_one_mod_p():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     with pytest.raises(ValueError):
         padic_log(ctx.from_int(2))
 
 
 def test_log_is_a_homomorphism_randomized():
-    ctx = make_ctx(5, 2, 5)
+    ctx = UnramifiedCtx(5, 2, 5)
     rng = SplitMix64(17)
     count = 0
     while count < 220:
@@ -263,7 +262,7 @@ def test_log_is_a_homomorphism_randomized():
 def test_log_kills_teichmuller_part():
     # (p^k - 1) log(alpha(1+pw)) = log((alpha(1+pw))^{p^k-1}) and the right
     # side has trivial root-of-unity part
-    ctx = make_ctx(5, 2, 5)
+    ctx = UnramifiedCtx(5, 2, 5)
     field = ctx.residue_field
     rng = SplitMix64(23)
     q = 25
@@ -281,7 +280,7 @@ def test_log_kills_teichmuller_part():
 
 
 def test_residue_examples():
-    ctx = make_ctx(5, 2, 4)
+    ctx = UnramifiedCtx(5, 2, 4)
     assert residue(ctx.one()).is_one()
     assert residue(ctx.from_int(25)).is_zero()
     with pytest.raises(ValueError):
@@ -294,7 +293,7 @@ def test_residue_examples():
 def test_record_round_trip():
     from polylogp.report import witt_from_record
 
-    ctx = make_ctx(7, 2, 5)
+    ctx = UnramifiedCtx(7, 2, 5)
     value = ctx.from_vec((12, 40)).shift(-2)
     rec = value.to_record()
     assert rec["p"] == 7 and rec["k"] == 2 and rec["A"] == 5
@@ -424,7 +423,7 @@ class PadicApprox:
 
 def test_padic_approx_matches_witt_at_degree_one():
     p, r = 7, 5
-    ctx = make_ctx(p, 1, r)
+    ctx = UnramifiedCtx(p, 1, r)
     rng = SplitMix64(31)
     for _ in range(1000):
         x = rng.below(p**r) - p**r // 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from polylogp.padic_core import PrecisionError, make_ctx
+from polylogp.padic_core import PrecisionError, UnramifiedCtx
 from polylogp.power_series import TruncSeries
 from polylogp.rng import SplitMix64
 
@@ -14,7 +14,7 @@ def _random_series(ctx, rng, order, var="w"):
 
 
 def test_integrate_of_one_is_w():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     one = TruncSeries.from_coeffs(ctx, "w", [ctx.one()], order=3)
     integrated = one.integrate()
     assert integrated.coeffs[0].is_exact_zero
@@ -23,7 +23,7 @@ def test_integrate_of_one_is_w():
 
 
 def test_derivative_integrate_round_trip():
-    ctx = make_ctx(7, 1, 5)
+    ctx = UnramifiedCtx(7, 1, 5)
     rng = SplitMix64(11)
     for _ in range(50):
         s = _random_series(ctx, rng, 6)
@@ -33,7 +33,7 @@ def test_derivative_integrate_round_trip():
 
 
 def test_associativity_randomized():
-    ctx = make_ctx(5, 2, 4)
+    ctx = UnramifiedCtx(5, 2, 4)
     rng = SplitMix64(12)
     for _ in range(40):
         s = _random_series(ctx, rng, 4)
@@ -46,7 +46,7 @@ def test_associativity_randomized():
 
 
 def test_leibniz_rule_randomized():
-    ctx = make_ctx(7, 1, 5)
+    ctx = UnramifiedCtx(7, 1, 5)
     rng = SplitMix64(13)
     for _ in range(40):
         s = _random_series(ctx, rng, 5)
@@ -58,7 +58,7 @@ def test_leibniz_rule_randomized():
 
 
 def test_geometric_times_one_minus_ratio_telescopes():
-    ctx = make_ctx(5, 1, 5)
+    ctx = UnramifiedCtx(5, 1, 5)
     q = ctx.from_int(7)
     M = 8
     geo = TruncSeries.geometric(ctx, "w", q, M)
@@ -72,7 +72,7 @@ def test_geometric_times_one_minus_ratio_telescopes():
 def test_eval_inverse_series_matches_direct_inverse():
     # 1/(1+pw) at w=1 against the ring inverse of 1+p
     for p in (5, 7):
-        ctx = make_ctx(p, 1, 5)
+        ctx = UnramifiedCtx(p, 1, 5)
         series = TruncSeries.geometric(ctx, "w", ctx.from_int(-p), 12)
         got = series.eval_at(ctx.one(), target=4)
         expected = ctx.from_int(1 + p).inv()
@@ -80,28 +80,28 @@ def test_eval_inverse_series_matches_direct_inverse():
 
 
 def test_eval_at_zero_returns_constant_term():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     s = TruncSeries.from_coeffs(ctx, "w", [ctx.from_int(9), ctx.from_int(2)], order=4)
     assert s.eval_at(ctx.exact_zero(), target=4).eq_to_prec(ctx.from_int(9))
 
 
 def test_eval_with_insufficient_order_raises_not_lies():
-    ctx = make_ctx(5, 1, 6)
+    ctx = UnramifiedCtx(5, 1, 6)
     series = TruncSeries.geometric(ctx, "w", ctx.from_int(-5), 2)
     with pytest.raises(PrecisionError):
         series.eval_at(ctx.one(), target=6)
 
 
 def test_eval_rejects_points_outside_unit_disc():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     s = TruncSeries.from_coeffs(ctx, "w", [ctx.one()], order=2)
     with pytest.raises(ValueError):
         s.eval_at(ctx.from_int(3).shift(-1), target=1)
 
 
 def test_var_and_ctx_mismatch_rejected():
-    ctx = make_ctx(5, 1, 4)
-    other = make_ctx(7, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
+    other = UnramifiedCtx(7, 1, 4)
     s = TruncSeries.from_coeffs(ctx, "w", [ctx.one()], order=1)
     t = TruncSeries.from_coeffs(ctx, "u", [ctx.one()], order=1)
     with pytest.raises(ValueError):
@@ -112,7 +112,7 @@ def test_var_and_ctx_mismatch_rejected():
 
 
 def test_scalar_mul_and_tail_shift():
-    ctx = make_ctx(5, 1, 5)
+    ctx = UnramifiedCtx(5, 1, 5)
     s = TruncSeries.geometric(ctx, "w", ctx.from_int(5), 6)
     scaled = s.scalar_mul(ctx.from_int(25))
     assert scaled.tail.offset == s.tail.offset + 2
@@ -120,7 +120,7 @@ def test_scalar_mul_and_tail_shift():
 
 
 def test_integrate_tracks_divisor_precision_loss():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     coeffs = [ctx.one() for _ in range(6)]
     s = TruncSeries.from_coeffs(ctx, "w", coeffs)
     integrated = s.integrate()
@@ -130,7 +130,7 @@ def test_integrate_tracks_divisor_precision_loss():
 
 
 def test_debug_info_shape():
-    ctx = make_ctx(5, 1, 4)
+    ctx = UnramifiedCtx(5, 1, 4)
     s = TruncSeries.geometric(ctx, "w", ctx.from_int(5), 3)
     info = s.debug_info()
     assert info["order"] == 3
