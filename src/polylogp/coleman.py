@@ -292,21 +292,19 @@ class PolylogEvaluator:
         slope = 1 - Fraction(1, ctx.p - 1)
         if 0 not in store:
             lead = alpha * (one - alpha).inv()  # alpha/(1-alpha)
-            geo = TruncSeries.geometric(ctx, "w", lead.shift(1), M)
             lin = TruncSeries.from_coeffs(
                 ctx, "w", [one, ctx.from_int(ctx.p)], order=M, slope=1
             )
-            g0 = geo.scalar_mul(lead) * lin
+            g0 = lin.over_linear(lead.shift(1)).scalar_mul(lead)
             store[0] = g0.with_tail(slope, 0)
             if self.trace is not None:
                 self.trace({"series": "disc-series", "weight": 0, **store[0].debug_info()})
         start = max(j for j in store if j <= n)
         g = store[start]
-        kernel = TruncSeries.geometric(ctx, "w", ctx.from_int(-ctx.p), M)
+        minus_p = ctx.from_int(-ctx.p)
         for j in range(start + 1, n + 1):
-            integrated = (g * kernel).integrate()
-            coeffs = list(integrated.coeffs[: M + 1])
-            coeffs[0] = self.li_tilde(alpha, j, mm)
+            integrated = g.over_linear(minus_p).integrate()
+            coeffs = [self.li_tilde(alpha, j, mm), *integrated.coeffs[1:]]
             g = TruncSeries(ctx, "w", coeffs, integrated.tail).with_tail(slope, -j)
             store[j] = g
             if self.trace is not None:
@@ -580,6 +578,8 @@ def check_g_valuations(
     """Certified coefficient bound of the disc series: degree j has
     v_p >= j - n - v_p(j!), checked on every stored coefficient."""
     report_mod.check_weight("g-valuation", p, n, 0, gap=1)
+    if count < 1:
+        raise report_mod.ConfigError(f"g-valuation needs at least one residue, got {count}")
     A = default_precision(n) if A is None else A
     m = default_riemann_m(n) if m is None else m
     ctx = UnramifiedCtx(p, k, A)

@@ -7,8 +7,12 @@ makes evaluation on the closed unit disc sound: the contribution of the
 unstored tail can be bounded ultrametrically and folded into the certified
 precision of the result.
 
-Composition rules are conservative; constructors that know a sharper bound
-for the exact function they expand may install it with ``with_tail``.
+Both series routes are built by dlog-weighted integration, so three
+operations suffice: ``over_linear(q)`` divides by (1 - q*var) and lowers the
+slope to at most v_p(q); ``scalar_mul(c)`` adds v_p(c) to the offset;
+``integrate()`` lowers the slope by 1/(p-1) and the offset by the slope.
+Constructors that know a sharper bound for the exact function they expand
+may install it with ``with_tail``.
 """
 
 from __future__ import annotations
@@ -37,27 +41,10 @@ class TailBound:
     def is_infinite(self) -> bool:
         return self.offset is None
 
-    def add(self, other: "TailBound") -> "TailBound":
-        if self.offset is None:
-            return other
-        if other.offset is None:
-            return self
-        return TailBound(min(self.slope, other.slope), min(self.offset, other.offset))
-
-    def mul(self, other: "TailBound") -> "TailBound":
-        if self.offset is None or other.offset is None:
-            return TailBound.zero_series()
-        return TailBound(min(self.slope, other.slope), self.offset + other.offset)
-
     def shift_offset(self, v) -> "TailBound":
         if self.offset is None or v is math.inf:
             return TailBound.zero_series()
         return TailBound(self.slope, self.offset + v)
-
-    def derivative(self) -> "TailBound":
-        if self.offset is None:
-            return self
-        return TailBound(self.slope, self.offset + self.slope)
 
     def integrate(self, p: int) -> "TailBound":
         # c_j -> c_{j-1}/j and v_p(j) <= j/(p-1) for j >= 1
@@ -106,17 +93,6 @@ class TruncSeries:
             offset = cand if offset is None else min(offset, cand)
         return TruncSeries(ctx, var, coeffs, TailBound(slope, offset))
 
-    @staticmethod
-    def geometric(ctx, var, ratio: WittApprox, order: int) -> "TruncSeries":
-        """1 + q w + q^2 w^2 + ...; needs v_p(q) known exactly (or q = 0)."""
-        if ratio.is_exact_zero:
-            return TruncSeries.from_coeffs(ctx, var, [ctx.one()], order=order)
-        v = ratio.valuation()
-        coeffs = [ctx.one()]
-        for _ in range(order):
-            coeffs.append(coeffs[-1] * ratio)
-        return TruncSeries(ctx, var, coeffs, TailBound(Fraction(v), Fraction(0)))
-
     def with_tail(self, slope, offset) -> "TruncSeries":
         """Install an externally justified tail bound (same coefficients)."""
         return TruncSeries(
@@ -125,50 +101,28 @@ class TruncSeries:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _check(self, other: "TruncSeries"):
-        if self.ctx != other.ctx:
-            raise ValueError("series over different contexts")
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        m = min(self.order, other.order)
-        coeffs = [self.coeffs[j] + other.coeffs[j] for j in range(m + 1)]
-        return TruncSeries(self.ctx, self.var, coeffs, self.tail.add(other.tail))
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.ctx, self.var, [-c for c in self.coeffs], self.tail)
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        m = min(self.order, other.order)
-        out = []
-        for j in range(m + 1):
-            acc = self.ctx.exact_zero()
-            for i in range(j + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[j - i]
-            out.append(acc)
-        return TruncSeries(self.ctx, self.var, out, self.tail.mul(other.tail))
+    def over_linear(self, q: WittApprox) -> "TruncSeries":
+        """self / (1 - q*var) by h_j = c_j + q*h_{j-1}; needs v_p(q) >= 0 known
+        exactly (or q = 0)."""
+        if q.is_exact_zero:
+            return self
+        v = q.valuation()
+        if v < 0:
+            raise ValueError(f"1/(1 - q*{self.var}) diverges on the unit disc: v_p(q) = {v}")
+        coeffs = [self.coeffs[0]]
+        for c in self.coeffs[1:]:
+            coeffs.append(c + q * coeffs[-1])
+        tail = TailBound(min(self.tail.slope, Fraction(v)), self.tail.offset)
+        return TruncSeries(self.ctx, self.var, coeffs, tail)
 
     def scalar_mul(self, c: WittApprox) -> "TruncSeries":
         tail = self.tail.shift_offset(c.min_valuation)
         return TruncSeries(self.ctx, self.var, [c * x for x in self.coeffs], tail)
 
-    def derivative(self) -> "TruncSeries":
-        if self.order == 0:
-            coeffs = [self.ctx.exact_zero()]
-        else:
-            coeffs = [self.coeffs[j + 1] * (j + 1) for j in range(self.order)]
-        return TruncSeries(self.ctx, self.var, coeffs, self.tail.derivative())
-
     def integrate(self) -> "TruncSeries":
-        """Antiderivative with constant term 0; order grows by one."""
+        """Antiderivative with constant term 0, truncated to the same order."""
         coeffs = [self.ctx.exact_zero()]
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(self.coeffs[:-1]):
             coeffs.append(c / self.ctx.from_int(j + 1))
         return TruncSeries(self.ctx, self.var, coeffs, self.tail.integrate(self.ctx.p))
 

@@ -57,25 +57,23 @@ def f_series(ctx: UnramifiedCtx, z: WittApprox, kmax: int, M: int | None = None)
     one = ctx.one()
     inv1z = (one - z).inv()
     slope = -Fraction(1, ctx.p - 1)
-    geo = TruncSeries.geometric(ctx, "u", inv1z, M)
-    f0 = geo.scalar_mul(inv1z) + TruncSeries.from_coeffs(ctx, "u", [-one], order=M)
+    f0 = TruncSeries.from_coeffs(ctx, "u", [z, one], order=M)
+    f0 = f0.over_linear(inv1z).scalar_mul(inv1z)  # (z+u)/(1-z-u)
     dz0 = TruncSeries.from_coeffs(ctx, "u", [ctx.exact_zero()], order=M)
     zinv = z.inv()
-    kernel = TruncSeries.geometric(ctx, "u", -zinv, M).scalar_mul(zinv)  # 1/(z+u)
+
+    def dlog_step(s: TruncSeries) -> TruncSeries:
+        # integrate s/(z+u) du: 1/(z+u) = z^{-1}/(1 + u/z)
+        return s.over_linear(-zinv).scalar_mul(zinv).integrate().with_tail(slope, 0)
+
     out = [FSeriesPair(0, f0, dz0)]
     fk, dzk = f0, dz0
     for k in range(1, kmax + 1):
-        integrated = (fk * kernel).integrate()
-        fk = TruncSeries(
-            ctx, "u", integrated.coeffs[: M + 1], integrated.tail
-        ).with_tail(slope, 0)
+        fk = dlog_step(fk)
         if k == 1:
             dzk = TruncSeries.from_coeffs(ctx, "u", [-inv1z], order=M)
         else:
-            integrated = (dzk * kernel).integrate()
-            dzk = TruncSeries(
-                ctx, "u", integrated.coeffs[: M + 1], integrated.tail
-            ).with_tail(slope, 0)
+            dzk = dlog_step(dzk)
         out.append(FSeriesPair(k, fk, dzk))
     return out
 

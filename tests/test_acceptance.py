@@ -237,24 +237,26 @@ def test_criterion_13_infrastructure():
         oracle_add = tuple((x + y) % pA for x, y in zip(va, vb))
         assert ((a + b) - ctx.from_vec(oracle_add)).is_zero_to(5)
 
-    # series operations against a plain integer convolution oracle
+    # series operations against plain integer recurrences: division by
+    # (1 - r*w) is h_j = x_j + r*h_{j-1}, integration divides x_{j-1} by j
     ctx1 = UnramifiedCtx(5, 1, 5)
     p5 = ctx1.pA
     series_cases = 0
     while series_cases < 1000:
         xs = [rng.below(p5) for _ in range(5)]
-        ys = [rng.below(p5) for _ in range(5)]
+        r = rng.below(p5)
         s = TruncSeries.from_coeffs(ctx1, "w", [ctx1.from_int(c) for c in xs])
-        t = TruncSeries.from_coeffs(ctx1, "w", [ctx1.from_int(c) for c in ys])
-        prod = s * t
+        quot = s.over_linear(ctx1.from_int(r))
+        h = 0
         for j in range(5):
-            conv = sum(xs[i] * ys[j - i] for i in range(j + 1)) % p5
-            assert (prod.coeffs[j] - ctx1.from_int(conv)).is_zero_to(5)
+            h = (xs[j] + r * h) % p5
+            assert (quot.coeffs[j] - ctx1.from_int(h)).is_zero_to(5)
             series_cases += 1
-        deriv = s.derivative()
-        for j in range(4):
-            expected = (j + 1) * xs[j + 1] % p5
-            assert (deriv.coeffs[j] - ctx1.from_int(expected)).is_zero_to(5)
+        integral = s.integrate()
+        assert integral.coeffs[0].is_exact_zero
+        for j in range(1, 5):
+            expected = xs[j - 1] * pow(j, -1, p5) % p5
+            assert (integral.coeffs[j] - ctx1.from_int(expected)).is_zero_to(5)
 
     # determinism: identical seeds give byte-identical reports
     rep_a = verify_theorem(5, 2, 1, samples=5, seed=77)

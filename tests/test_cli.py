@@ -286,6 +286,10 @@ def test_env_overrides_apply_to_every_check_that_takes_them(capsys, monkeypatch,
     (("theorem", "--p", "5", "--n", "2", "--samples", "2", "--jobs", "-3"),
      "theorem needs --jobs >= 1, got -3"),
     (("all", "--jobs", "0"), "needs --jobs >= 1, got 0"),
+    (("g-valuation", "--p", "7", "--n", "3", "--count", "0"),
+     "g-valuation needs at least one residue, got 0"),
+    (("g-valuation", "--p", "7", "--n", "3", "--count", "-2"),
+     "g-valuation needs at least one residue, got -2"),
 ])
 def test_invalid_configuration_exits_two(capsys, argv, message):
     code, _, err = run(capsys, "verify", *argv)

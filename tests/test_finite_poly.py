@@ -189,6 +189,41 @@ def test_one_pass_inversion_covers_the_full_matrix_fields():
     assert cells == {(p, k, (2, 3, 4, 5, 6)) for p in (5, 7, 11, 13) for k in (1, 2)}
 
 
+# -- functional equations of li_1 -----------------------------------------------
+
+
+def _inversion_fields():
+    return [FiniteField(c["p"], c["k"]) for c in CHECKS["inversion"].full]
+
+
+def test_li1_reflection_and_twisted_inversion_on_every_inversion_field():
+    for field in _inversion_fields():
+        one = field.one()
+        for x in field.elements():
+            assert li_finite(1, x) == li_finite(1, one - x), (field, x)
+            if not x.is_zero():
+                twisted = x**field.p * li_finite(1, x.inverse())
+                assert (twisted + li_finite(1, x)).is_zero(), (field, x)
+
+
+def test_li1_four_term_equation_on_the_small_inversion_fields():
+    # Kontsevich: li_1(x) - li_1(y) + x^p li_1(y/x) + (1-x)^p li_1((1-y)/(1-x)) = 0
+    fields = [f for f in _inversion_fields() if f.p**f.k <= 49]
+    assert {f.p**f.k for f in fields} == {5, 7, 11, 13, 25, 49}
+    for field in fields:
+        p, one = field.p, field.one()
+        li1 = {x.coeffs: li_finite(1, x) for x in field.elements()}
+        for x in field.elements():
+            if x.is_zero() or x.is_one():
+                continue
+            xinv, x1inv = x.inverse(), (one - x).inverse()
+            xp, x1p = x**p, (one - x) ** p
+            for y in field.elements():
+                total = (li1[x.coeffs] - li1[y.coeffs] + xp * li1[(y * xinv).coeffs]
+                         + x1p * li1[((one - y) * x1inv).coeffs])
+                assert total.is_zero(), (field, x, y)
+
+
 # -- field sanity ------------------------------------------------------------------
 
 

@@ -25,17 +25,28 @@ def _definitions(tree) -> list:
 
 def _references(tree) -> set:
     """Names, attributes, and dotted-name strings such as a driver's name in
-    the check table or a traced span's attribute path."""
+    the check table or a traced span's attribute path.  A reference inside a
+    definition of the same name (recursion, or a method delegating to a
+    namesake such as ``self.tail.derivative()``) does not count as a use."""
     refs = set()
-    for node in ast.walk(tree):
+
+    def visit(node, enclosing):
+        if isinstance(node, DEFS):
+            enclosing = enclosing | {node.name}
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            names = [node.id]
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            names = [node.attr]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
-            if all(part.isidentifier() for part in parts):
-                refs.update(parts)
+            names = parts if all(part.isidentifier() for part in parts) else []
+        else:
+            names = []
+        refs.update(name for name in names if name not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
     return refs
 
 
@@ -55,3 +66,16 @@ def test_scan_sees_the_package():
 
 def test_src_holds_no_unused_or_test_only_code():
     assert unused_definitions() == []
+
+
+def test_a_reference_inside_a_namesake_is_not_a_use():
+    inside = ast.parse(
+        "class S:\n"
+        "    def derivative(self):\n"
+        "        return self.tail.derivative()\n"
+        "def walk(n):\n"
+        "    return walk(n - 1)\n"
+    )
+    assert not {"derivative", "walk"} & _references(inside)
+    outside = ast.parse("def step(s):\n    return s.derivative()\n")
+    assert "derivative" in _references(outside)

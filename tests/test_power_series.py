@@ -1,10 +1,96 @@
-"""Truncated series ring laws, calculus pairs, and certified evaluation."""
+"""Series division by a linear factor, integration, and certified evaluation.
+
+``src/`` keeps only the operations the two series routes use.  The general
+series ring (sum, convolution product, derivative) lives here as plain
+functions: it is the oracle the construction checks are written against.
+"""
+
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polylogp.coleman import PolylogEvaluator, default_series_order
 from polylogp.padic_core import PrecisionError, UnramifiedCtx
-from polylogp.power_series import TruncSeries
+from polylogp.power_series import TailBound, TruncSeries
 from polylogp.rng import SplitMix64
+from polylogp.section3 import f_series
+
+PRIMES = (3, 5, 7, 11, 13)
+
+
+# -- the series ring, as test oracles -------------------------------------------
+
+
+def _same_ring(s: TruncSeries, t: TruncSeries):
+    if s.ctx != t.ctx:
+        raise ValueError("series over different contexts")
+    if s.var != t.var:
+        raise ValueError(f"variable mismatch: {s.var} vs {t.var}")
+
+
+def series_add(s: TruncSeries, t: TruncSeries) -> TruncSeries:
+    _same_ring(s, t)
+    m = min(s.order, t.order)
+    coeffs = [s.coeffs[j] + t.coeffs[j] for j in range(m + 1)]
+    if s.tail.is_infinite() or t.tail.is_infinite():
+        tail = t.tail if s.tail.is_infinite() else s.tail
+    else:
+        tail = TailBound(min(s.tail.slope, t.tail.slope), min(s.tail.offset, t.tail.offset))
+    return TruncSeries(s.ctx, s.var, coeffs, tail)
+
+
+def series_mul(s: TruncSeries, t: TruncSeries) -> TruncSeries:
+    """Convolution product, truncated to the smaller order."""
+    _same_ring(s, t)
+    m = min(s.order, t.order)
+    out = []
+    for j in range(m + 1):
+        acc = s.ctx.exact_zero()
+        for i in range(j + 1):
+            acc = acc + s.coeffs[i] * t.coeffs[j - i]
+        out.append(acc)
+    if s.tail.is_infinite() or t.tail.is_infinite():
+        tail = TailBound.zero_series()
+    else:
+        tail = TailBound(min(s.tail.slope, t.tail.slope), s.tail.offset + t.tail.offset)
+    return TruncSeries(s.ctx, s.var, out, tail)
+
+
+def series_derivative(s: TruncSeries) -> TruncSeries:
+    if s.order == 0:
+        coeffs = [s.ctx.exact_zero()]
+    else:
+        coeffs = [s.coeffs[j + 1] * (j + 1) for j in range(s.order)]
+    tail = s.tail
+    if not tail.is_infinite():
+        tail = TailBound(tail.slope, tail.offset + tail.slope)
+    return TruncSeries(s.ctx, s.var, coeffs, tail)
+
+
+def geometric(ctx, var, ratio, order) -> TruncSeries:
+    """1 + q w + q^2 w^2 + ... by repeated products, with tail (v_p(q), 0)."""
+    if ratio.is_exact_zero:
+        return TruncSeries.from_coeffs(ctx, var, [ctx.one()], order=order)
+    coeffs = [ctx.one()]
+    for _ in range(order):
+        coeffs.append(coeffs[-1] * ratio)
+    return TruncSeries(ctx, var, coeffs, TailBound(Fraction(ratio.valuation()), Fraction(0)))
+
+
+def _integrate_growing(s: TruncSeries) -> TruncSeries:
+    """Antiderivative whose order grows by one (no truncation)."""
+    coeffs = [s.ctx.exact_zero()]
+    for j, c in enumerate(s.coeffs):
+        coeffs.append(c / s.ctx.from_int(j + 1))
+    return TruncSeries(s.ctx, s.var, coeffs, s.tail.integrate(s.ctx.p))
+
+
+def _one_over_linear(ctx, q, order) -> TruncSeries:
+    """1/(1 - q w) from ``over_linear``, with the tail slope v_p(q)."""
+    one = TruncSeries.from_coeffs(ctx, "w", [ctx.one()], order=order, slope=q.valuation())
+    return one.over_linear(q)
 
 
 def _random_series(ctx, rng, order, var="w"):
@@ -13,10 +99,117 @@ def _random_series(ctx, rng, order, var="w"):
     return TruncSeries.from_coeffs(ctx, var, coeffs)
 
 
+# -- the geometric-kernel construction, as it was built by products ---------------
+
+
+def _product_built_g_series(ev, alpha, n, M) -> list:
+    ctx, p = ev.ctx, ev.ctx.p
+    one = ctx.one()
+    slope = 1 - Fraction(1, p - 1)
+    lead = alpha * (one - alpha).inv()
+    lin = TruncSeries.from_coeffs(ctx, "w", [one, ctx.from_int(p)], order=M, slope=1)
+    g = series_mul(geometric(ctx, "w", lead.shift(1), M).scalar_mul(lead), lin)
+    out = [g.with_tail(slope, 0)]
+    kernel = geometric(ctx, "w", ctx.from_int(-p), M)
+    for j in range(1, n + 1):
+        integrated = _integrate_growing(series_mul(out[-1], kernel))
+        coeffs = list(integrated.coeffs[: M + 1])
+        coeffs[0] = ev.li_tilde(alpha, j)
+        out.append(TruncSeries(ctx, "w", coeffs, integrated.tail).with_tail(slope, -j))
+    return out
+
+
+def _product_built_f_series(ctx, z, kmax, M) -> list:
+    one = ctx.one()
+    inv1z = (one - z).inv()
+    slope = -Fraction(1, ctx.p - 1)
+    f0 = series_add(geometric(ctx, "u", inv1z, M).scalar_mul(inv1z),
+                    TruncSeries.from_coeffs(ctx, "u", [-one], order=M))
+    zinv = z.inv()
+    kernel = geometric(ctx, "u", -zinv, M).scalar_mul(zinv)
+
+    def step(s):
+        integrated = _integrate_growing(series_mul(s, kernel))
+        truncated = TruncSeries(ctx, "u", integrated.coeffs[: M + 1], integrated.tail)
+        return truncated.with_tail(slope, 0)
+
+    out = [(f0, TruncSeries.from_coeffs(ctx, "u", [ctx.exact_zero()], order=M))]
+    for k in range(1, kmax + 1):
+        dz = TruncSeries.from_coeffs(ctx, "u", [-inv1z], order=M) if k == 1 else step(out[-1][1])
+        out.append((step(out[-1][0]), dz))
+    return out
+
+
+def _assert_identical(new: TruncSeries, old: TruncSeries):
+    assert new.order == old.order
+    assert new.tail == old.tail
+    for a, b in zip(new.coeffs, old.coeffs):
+        assert (a.scale, a.coeffs, a.prec, a.exact) == (b.scale, b.coeffs, b.prec, b.exact)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("k", (1, 2))
+def test_over_linear_builds_what_the_products_built(p, k):
+    A, kmax = 5, 6
+    ctx = UnramifiedCtx(p, k, A)
+    M = default_series_order(p, kmax, A)
+    ev = PolylogEvaluator(ctx, 2, max_weight=kmax, series_order=M)
+    for t in (2, p**k - 1):
+        alpha = ev.teich(ctx.residue_field.from_int(t))
+        for n, old in enumerate(_product_built_g_series(ev, alpha, kmax, M)):
+            _assert_identical(ev.g_series(alpha, n), old)
+        z = alpha * (ctx.one() + ctx.from_int(p * t))
+        new_fs = f_series(ctx, z, 4, M=10)
+        for pair, (old_f, old_dz) in zip(new_fs, _product_built_f_series(ctx, z, 4, 10)):
+            _assert_identical(pair.series, old_f)
+            _assert_identical(pair.dz_series, old_dz)
+
+
+@st.composite
+def linear_cases(draw):
+    p = draw(st.sampled_from(PRIMES))
+    k = draw(st.integers(1, 2))
+    A = draw(st.integers(1, 6))
+    ctx = UnramifiedCtx(p, k, A)
+    order = draw(st.integers(1, 6))
+    digits = st.integers(0, ctx.pA - 1)
+    coeffs = [ctx.from_vec(tuple(draw(digits) for _ in range(k)), draw(st.integers(0, 2)))
+              for _ in range(order + 1)]
+    if draw(st.booleans()):
+        q = ctx.exact_zero()
+    else:
+        unit = (draw(st.integers(1, p - 1)),) + tuple(draw(digits) for _ in range(k - 1))
+        q = ctx.from_vec(unit, draw(st.integers(0, 2)))
+    return ctx, TruncSeries.from_coeffs(ctx, "w", coeffs), q
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_cases())
+def test_over_linear_times_the_linear_factor_gives_back_the_series(case):
+    ctx, s, q = case
+    lin = TruncSeries.from_coeffs(ctx, "w", [ctx.one(), -q], order=s.order)
+    back = series_mul(s.over_linear(q), lin)
+    for a, b in zip(back.coeffs, s.coeffs):
+        assert (a - b).is_zero_to(ctx.A)
+
+
+def test_over_linear_rejects_ratios_off_the_unit_disc():
+    ctx = UnramifiedCtx(5, 1, 4)
+    s = TruncSeries.from_coeffs(ctx, "w", [ctx.one()], order=3)
+    with pytest.raises(ValueError):
+        s.over_linear(ctx.from_int(2).shift(-1))
+    with pytest.raises(PrecisionError):
+        s.over_linear(ctx.zero_approx(2))  # v_p(q) only bounded below
+
+
+# -- calculus and evaluation -------------------------------------------------------
+
+
 def test_integrate_of_one_is_w():
     ctx = UnramifiedCtx(5, 1, 4)
     one = TruncSeries.from_coeffs(ctx, "w", [ctx.one()], order=3)
     integrated = one.integrate()
+    assert integrated.order == 3
     assert integrated.coeffs[0].is_exact_zero
     assert integrated.coeffs[1].eq_to_prec(ctx.one())
     assert all(c.is_exact_zero for c in integrated.coeffs[2:])
@@ -27,7 +220,7 @@ def test_derivative_integrate_round_trip():
     rng = SplitMix64(11)
     for _ in range(50):
         s = _random_series(ctx, rng, 6)
-        back = s.integrate().derivative()
+        back = series_derivative(s.integrate())
         for j in range(s.order):  # up to order M-1
             assert back.coeffs[j].eq_to_prec(s.coeffs[j])
 
@@ -39,8 +232,8 @@ def test_associativity_randomized():
         s = _random_series(ctx, rng, 4)
         t = _random_series(ctx, rng, 4)
         u = _random_series(ctx, rng, 4)
-        left = (s * t) * u
-        right = s * (t * u)
+        left = series_mul(series_mul(s, t), u)
+        right = series_mul(s, series_mul(t, u))
         for a, b in zip(left.coeffs, right.coeffs):
             assert a.eq_to_prec(b)
 
@@ -51,8 +244,9 @@ def test_leibniz_rule_randomized():
     for _ in range(40):
         s = _random_series(ctx, rng, 5)
         t = _random_series(ctx, rng, 5)
-        lhs = (s * t).derivative()
-        rhs = s.derivative() * t + s * t.derivative()
+        lhs = series_derivative(series_mul(s, t))
+        rhs = series_add(series_mul(series_derivative(s), t),
+                         series_mul(s, series_derivative(t)))
         for j in range(s.order - 1):
             assert lhs.coeffs[j].eq_to_prec(rhs.coeffs[j])
 
@@ -61,9 +255,9 @@ def test_geometric_times_one_minus_ratio_telescopes():
     ctx = UnramifiedCtx(5, 1, 5)
     q = ctx.from_int(7)
     M = 8
-    geo = TruncSeries.geometric(ctx, "w", q, M)
+    geo = _one_over_linear(ctx, q, M)
     lin = TruncSeries.from_coeffs(ctx, "w", [ctx.one(), -q], order=M)
-    prod = geo * lin
+    prod = series_mul(geo, lin)
     assert prod.coeffs[0].eq_to_prec(ctx.one())
     for c in prod.coeffs[1:]:
         assert c.is_zero_to(c.abs_prec if not c.is_exact_zero else 5)
@@ -73,7 +267,7 @@ def test_eval_inverse_series_matches_direct_inverse():
     # 1/(1+pw) at w=1 against the ring inverse of 1+p
     for p in (5, 7):
         ctx = UnramifiedCtx(p, 1, 5)
-        series = TruncSeries.geometric(ctx, "w", ctx.from_int(-p), 12)
+        series = _one_over_linear(ctx, ctx.from_int(-p), 12)
         got = series.eval_at(ctx.one(), target=4)
         expected = ctx.from_int(1 + p).inv()
         assert (got - expected).is_zero_to(4)
@@ -87,7 +281,7 @@ def test_eval_at_zero_returns_constant_term():
 
 def test_eval_with_insufficient_order_raises_not_lies():
     ctx = UnramifiedCtx(5, 1, 6)
-    series = TruncSeries.geometric(ctx, "w", ctx.from_int(-5), 2)
+    series = _one_over_linear(ctx, ctx.from_int(-5), 2)
     with pytest.raises(PrecisionError):
         series.eval_at(ctx.one(), target=6)
 
@@ -103,17 +297,22 @@ def test_var_and_ctx_mismatch_rejected():
     ctx = UnramifiedCtx(5, 1, 4)
     other = UnramifiedCtx(7, 1, 4)
     s = TruncSeries.from_coeffs(ctx, "w", [ctx.one()], order=1)
+    with pytest.raises(ValueError):
+        s.over_linear(other.from_int(7))
+    with pytest.raises(ValueError):
+        s.eval_at(other.from_int(7), target=1)
+    # the test-side ring refuses to combine series it cannot line up
     t = TruncSeries.from_coeffs(ctx, "u", [ctx.one()], order=1)
     with pytest.raises(ValueError):
-        s + t
+        series_add(s, t)
     u = TruncSeries.from_coeffs(other, "w", [other.one()], order=1)
     with pytest.raises(ValueError):
-        s * u
+        series_mul(s, u)
 
 
 def test_scalar_mul_and_tail_shift():
     ctx = UnramifiedCtx(5, 1, 5)
-    s = TruncSeries.geometric(ctx, "w", ctx.from_int(5), 6)
+    s = _one_over_linear(ctx, ctx.from_int(5), 6)
     scaled = s.scalar_mul(ctx.from_int(25))
     assert scaled.tail.offset == s.tail.offset + 2
     assert scaled.coeffs[1].valuation() == 3
@@ -131,7 +330,7 @@ def test_integrate_tracks_divisor_precision_loss():
 
 def test_debug_info_shape():
     ctx = UnramifiedCtx(5, 1, 4)
-    s = TruncSeries.geometric(ctx, "w", ctx.from_int(5), 3)
+    s = _one_over_linear(ctx, ctx.from_int(5), 3)
     info = s.debug_info()
     assert info["order"] == 3
     assert info["tailSlope"] == "1"

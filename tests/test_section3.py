@@ -23,6 +23,7 @@ from polylogp.section3 import (
 )
 
 from test_coleman import sample_xpoint
+from test_power_series import series_derivative, series_mul
 
 
 def _setup(p, n, k=1):
@@ -82,7 +83,7 @@ def test_f_series_construction_inverse_check():
     fs = f_series(ctx, z, 3, M=M)
     lin = TruncSeries.from_coeffs(ctx, "u", [z, ctx.one()], order=M)
     for k in range(3):
-        lhs = fs[k + 1].series.derivative() * lin
+        lhs = series_mul(series_derivative(fs[k + 1].series), lin)
         for j in range(M - 1):
             a, b = lhs.coeffs[j], fs[k].series.coeffs[j]
             shared = [prec for prec in (a.abs_prec, b.abs_prec) if prec is not None]
