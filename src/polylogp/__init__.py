@@ -3,7 +3,9 @@
 The package has two arithmetic layers and a verification layer on top:
 
 * ``finite_poly``  -- F_{p^k} in a polynomial basis, finite polylogarithms and
-  both inversion identities in one pass over the field.
+  both inversion identities in one pass over the field.  Its ``poly_mul`` and
+  ``poly_pow`` are the one ring kernel of both layers: (Z/p^r)[x]/(hbar),
+  at r = 1 for F_{p^k} and at r <= A for W(F_{p^k}) mod p^r.
 * ``padic_core``   -- Z_p / W(F_{p^k}) mod p^A with certified precision,
   Teichmuller lifts and the p-adic logarithm on 1 + pW.
 * ``power_series`` -- truncated series over the p-adic layer with certified

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finite_poly import FpkElement, li_finite, sigma
+from .finite_poly import FpkElement, li_finite, poly_mul, sigma
 from .identities import a_coeffs
 from .padic_core import (
     PrecisionError,
@@ -86,7 +86,8 @@ class PolylogEvaluator:
 
     ``riemann_m`` fixes the measure-sum modulus (certified error p^-m);
     ``max_weight`` is the largest weight the run needs, so one measure-sum
-    evaluation per point serves every weight at once.
+    evaluation per point serves every weight at once; ``series_order`` is the
+    disc-series truncation M, by default enough for weight ``max_weight``.
     """
 
     def __init__(
@@ -102,7 +103,9 @@ class PolylogEvaluator:
         self.ctx = ctx
         self.m = riemann_m
         self.max_weight = max_weight
-        self.series_order = series_order
+        self.series_order = series_order or default_series_order(
+            ctx.p, max_weight, ctx.A
+        )
         self.trace = trace
         self._teich: dict = {}
         self._lip: dict = {}
@@ -122,7 +125,7 @@ class PolylogEvaluator:
 
     # -- measure Riemann sums ---------------------------------------------------
 
-    def li_p_riemann(self, z: WittApprox, n: int, m: int | None = None) -> WittApprox:
+    def li_p_riemann(self, z: WittApprox, n: int) -> WittApprox:
         """Riemann sum for the Frobenius-corrected weight-n polylogarithm.
 
         The integrand x^{-n} is constant mod p^m on each cell and the measure
@@ -130,10 +133,8 @@ class PolylogEvaluator:
         """
         if n < 0:
             raise ValueError("weight must be >= 0")
-        m = self.m if m is None else m
-        if m < 1:
-            raise ValueError("riemann modulus must be >= 1")
-        key = (z.scale, z.coeffs, z.prec, m)
+        m = self.m
+        key = (z.scale, z.coeffs, z.prec)
         cached = self._lip.setdefault(key, {})
         if n not in cached:
             want = set(range(0, max(n, self.max_weight) + 1)) - set(cached)
@@ -167,29 +168,28 @@ class PolylogEvaluator:
             raise ValueError("measure requires a unit z")
         if residue(z).is_zero() or residue(z).is_one():
             raise ValueError("measure requires |z| = |z-1| = 1")
-        p, pA, k = ctx.p, ctx.pA, ctx.k
-        mul = ctx.vec_mul
+        p, pA, k, h = ctx.p, ctx.pA, ctx.k, ctx.hbar
         one = (1,) + (0,) * (k - 1)
         zvec = z.coeffs
         z_pows = [zvec]  # z^{a0} for 0 < a0 < p
         for _ in range(p - 2):
-            z_pows.append(mul(z_pows[-1], zvec, pA))
-        y = mul(z_pows[-1], zvec, pA)
+            z_pows.append(poly_mul(z_pows[-1], zvec, h, pA))
+        y = poly_mul(z_pows[-1], zvec, h, pA)
         # G_0 = sum_{t<T} y^t one base-p digit of T at a time:
         # sum_{t<pS} y^t = sum_{t<S} y^t * sum_{s<p} y^{sS}
         g0, y_s = one, y
         for _ in range(m - 1):
             block, term = list(one), one
             for _ in range(p - 1):
-                term = mul(term, y_s, pA)
+                term = poly_mul(term, y_s, h, pA)
                 block = [b + c for b, c in zip(block, term)]
-            g0 = mul(g0, tuple(c % pA for c in block), pA)
-            y_s = mul(term, y_s, pA)
+            g0 = poly_mul(g0, tuple(c % pA for c in block), h, pA)
+            y_s = poly_mul(term, y_s, h, pA)
         z_top = y_s  # y^T = z^{p^m}
         one_minus_top = ((1 - z_top[0]) % pA,) + tuple(-c % pA for c in z_top[1:])
         inv_cell = ctx.vec_inv(one_minus_top, ctx.A)
         # (1 - y) G_0 = 1 - y^T
-        inv_one_minus_y = mul(g0, inv_cell, pA)
+        inv_one_minus_y = poly_mul(g0, inv_cell, h, pA)
         T = p ** (m - 1)
         J = min(m, ctx.A)  # p^j vanishes mod p^A from j = A on
         G = [g0]
@@ -202,7 +202,7 @@ class PolylogEvaluator:
             top = pow(T - 1, j, pA)
             for r in range(k):
                 rhs[r] -= top * z_top[r]
-            G.append(mul(tuple(c % pA for c in rhs), inv_one_minus_y, pA))
+            G.append(poly_mul(tuple(c % pA for c in rhs), inv_one_minus_y, h, pA))
         H = {}
         invs = [pow(a0, -1, pA) for a0 in range(1, p)]
         lo = min(ns)
@@ -220,7 +220,7 @@ class PolylogEvaluator:
             binom = 1  # C(-n, j)
             for j in range(J if n else 1):  # C(0, j) = 0 for j > 0
                 c = binom * p**j
-                prod = mul(G[j], H[n + j], pA)
+                prod = poly_mul(G[j], H[n + j], h, pA)
                 for r in range(k):
                     acc[r] += c * prod[r]
                 binom = binom * (-n - j) // (j + 1)
@@ -229,7 +229,7 @@ class PolylogEvaluator:
 
     # -- Teichmuller closed formula ---------------------------------------------
 
-    def li_n_teich(self, alpha: WittApprox, n: int, m: int | None = None) -> WittApprox:
+    def li_n_teich(self, alpha: WittApprox, n: int) -> WittApprox:
         """Li_n at a root of unity via the finite Frobenius-orbit sum.
 
         Computes p^n/(p^{kn}-1) * sum_i p^{(k-1-i)n} Li^{(p)}_n(alpha^{p^i})
@@ -242,7 +242,7 @@ class PolylogEvaluator:
         acc = ctx.exact_zero()
         zi = alpha
         for i in range(k):
-            lip = self.li_p_riemann(zi, n, m)
+            lip = self.li_p_riemann(zi, n)
             acc = acc + lip.shift((k - 1 - i) * n)
             if i + 1 < k:
                 zi = zi**p
@@ -253,26 +253,20 @@ class PolylogEvaluator:
             )
         return value
 
-    def li_tilde(self, alpha: WittApprox, n: int, m: int | None = None) -> WittApprox:
+    def li_tilde(self, alpha: WittApprox, n: int) -> WittApprox:
         """p^{-n} Li_n(alpha); weight 0 is alpha/(1-alpha)."""
-        key = (alpha.coeffs, n, self.m if m is None else m)
+        key = (alpha.coeffs, n)
         if key not in self._litilde:
             if n == 0:
                 val = alpha * (self.ctx.one() - alpha).inv()
             else:
-                val = self.li_n_teich(alpha, n, m).shift(-n)
+                val = self.li_n_teich(alpha, n).shift(-n)
             self._litilde[key] = val
         return self._litilde[key]
 
     # -- the disc series ----------------------------------------------------------
 
-    def g_series(
-        self,
-        alpha: WittApprox,
-        n: int,
-        M: int | None = None,
-        m: int | None = None,
-    ) -> TruncSeries:
+    def g_series(self, alpha: WittApprox, n: int) -> TruncSeries:
         """Series in w for p^{-n} Li_n(alpha(1+pw)) on the closed unit disc.
 
         Built by n dlog-weighted integrations from the weight-0 closed form,
@@ -280,12 +274,8 @@ class PolylogEvaluator:
         carries the certified bound v_p >= j - n - v_p(j!).
         """
         ctx = self.ctx
-        mm = self.m if m is None else m
-        if M is None:
-            M = self.series_order or default_series_order(
-                ctx.p, max(n, self.max_weight), ctx.A
-            )
-        store = self._g.setdefault((alpha.coeffs, M, mm), {})
+        M = self.series_order
+        store = self._g.setdefault(alpha.coeffs, {})
         if n in store:
             return store[n]
         one = ctx.one()
@@ -304,7 +294,7 @@ class PolylogEvaluator:
         minus_p = ctx.from_int(-ctx.p)
         for j in range(start + 1, n + 1):
             integrated = g.over_linear(minus_p).integrate()
-            coeffs = [self.li_tilde(alpha, j, mm), *integrated.coeffs[1:]]
+            coeffs = [self.li_tilde(alpha, j), *integrated.coeffs[1:]]
             g = TruncSeries(ctx, "w", coeffs, integrated.tail).with_tail(slope, -j)
             store[j] = g
             if self.trace is not None:

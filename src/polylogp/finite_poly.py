@@ -1,8 +1,10 @@
 """F_{p^k} in a fixed polynomial basis, finite polylogarithms, inverse Frobenius.
 
 Elements are coefficient vectors modulo a deterministically chosen monic
-irreducible ``hbar`` of degree k over F_p, so that runs are reproducible and
-the unramified p-adic layer can share the same modulus.
+irreducible ``hbar`` of degree k over F_p, so that runs are reproducible.
+``poly_mul`` and ``poly_pow`` are the one ring kernel of the package: they
+work in (Z/p^r)[x]/(hbar), which is F_{p^k} at r = 1 and W(F_{p^k}) mod p^r
+in the unramified p-adic layer.
 """
 
 from __future__ import annotations
@@ -12,33 +14,38 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-def _poly_mulmod(a: tuple, b: tuple, hbar: tuple, p: int) -> tuple:
-    # schoolbook product, then reduce by the monic modulus
-    k = len(hbar) - 1
-    prod = [0] * (len(a) + len(b) - 1)
+def poly_mul(a: tuple, b: tuple, h: tuple, pm: int) -> tuple:
+    """a * b in (Z/pm)[x]/(h), h monic of degree k = len(a) = len(b)."""
+    k = len(h) - 1
+    if k == 1:
+        return ((a[0] * b[0]) % pm,)
+    if k == 2:
+        t = a[1] * b[1] % pm
+        return (
+            (a[0] * b[0] - t * h[0]) % pm,
+            (a[0] * b[1] + a[1] * b[0] - t * h[1]) % pm,
+        )
+    prod = [0] * (2 * k - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i] % pm
         if c:
-            prod[i] = 0
             for j in range(k):
-                prod[i - k + j] = (prod[i - k + j] - c * hbar[j]) % p
-    out = prod[:k]
-    out += [0] * (k - len(out))
-    return tuple(out)
+                prod[i - k + j] -= c * h[j]
+    return tuple([c % pm for c in prod[:k]])
 
 
-def _poly_powmod(a: tuple, e: int, hbar: tuple, p: int) -> tuple:
-    k = len(hbar) - 1
-    result = tuple([1] + [0] * (k - 1))
+def poly_pow(a: tuple, e: int, h: tuple, pm: int) -> tuple:
+    """a^e in (Z/pm)[x]/(h) by square-and-multiply, for e >= 0."""
+    result = (1,) + (0,) * (len(h) - 2)
     base = a
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, hbar, p)
-        base = _poly_mulmod(base, base, hbar, p)
+            result = poly_mul(result, base, h, pm)
+        base = poly_mul(base, base, h, pm)
         e >>= 1
     return result
 
@@ -79,12 +86,12 @@ def is_irreducible(coeffs: tuple, p: int) -> bool:
     x = tuple([0, 1] + [0] * (k - 2))
     frob = x
     for j in range(1, k):
-        frob = _poly_powmod(frob, p, hbar, p)
+        frob = poly_pow(frob, p, hbar, p)
         diff = [(frob[i] - x[i]) % p for i in range(k)]
         g = _poly_gcd(list(hbar), diff, p)
         if len(g) != 1:
             return False
-    frob = _poly_powmod(frob, p, hbar, p)
+    frob = poly_pow(frob, p, hbar, p)
     return frob == x
 
 
@@ -107,7 +114,7 @@ def lowest_irreducible(p: int, k: int) -> tuple:
 class FiniteField:
     """F_{p^k} with basis 1, x, ..., x^{k-1} modulo ``hbar``."""
 
-    def __init__(self, p: int, k: int = 1, hbar: tuple | None = None):
+    def __init__(self, p: int, k: int = 1):
         if p < 3 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
             raise ValueError(f"p must be an odd prime, got {p}")
         if k < 1:
@@ -115,17 +122,16 @@ class FiniteField:
         self.p = p
         self.k = k
         self.order = p**k
-        self.hbar = tuple(hbar) if hbar is not None else lowest_irreducible(p, k)
-        assert len(self.hbar) == k + 1 and self.hbar[-1] == 1
+        self.hbar = lowest_irreducible(p, k)
 
     def __eq__(self, other):
         return (
             isinstance(other, FiniteField)
-            and (self.p, self.k, self.hbar) == (other.p, other.k, other.hbar)
+            and (self.p, self.k) == (other.p, other.k)
         )
 
     def __hash__(self):
-        return hash((self.p, self.k, self.hbar))
+        return hash((self.p, self.k))
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, k={self.k})"
@@ -197,7 +203,7 @@ class FpkElement:
         self._check(other)
         return FpkElement(
             self.field,
-            _poly_mulmod(self.coeffs, other.coeffs, self.field.hbar, self.field.p),
+            poly_mul(self.coeffs, other.coeffs, self.field.hbar, self.field.p),
         )
 
     __rmul__ = __mul__
@@ -206,7 +212,7 @@ class FpkElement:
         if e < 0:
             return self.inverse() ** (-e)
         return FpkElement(
-            self.field, _poly_powmod(self.coeffs, e, self.field.hbar, self.field.p)
+            self.field, poly_pow(self.coeffs, e, self.field.hbar, self.field.p)
         )
 
     def inverse(self) -> "FpkElement":

@@ -11,6 +11,10 @@ The distinction matters for valuation assertions: a unit form certifies its
 valuation exactly, an approximate zero only certifies a lower bound, and
 comparisons are always "equal to certified precision".  No operation returns
 digits beyond what it can certify.
+
+The unit vectors are multiplied and powered by ``finite_poly.poly_mul`` and
+``poly_pow`` modulo p^r: the residue field F_{p^k} uses the same kernel with
+r = 1, so the two layers share one implementation of the ring.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .finite_poly import FiniteField, FpkElement
+from .finite_poly import FiniteField, FpkElement, poly_mul, poly_pow
 
 
 class PrecisionError(ArithmeticError):
@@ -39,11 +43,11 @@ def int_val(c: int, p: int) -> int:
 
 
 class UnramifiedCtx:
-    """W(F_{p^k}) mod p^A in the polynomial basis (Z/p^A)[x]/(h).
+    """W(F_{p^k}) mod p^A in the polynomial basis (Z/p^A)[x]/(hbar).
 
     ``hbar`` is the lowest-lexicographic monic irreducible of degree k over
-    F_p and ``h`` its coefficient-wise lift with entries in [0, p), so a
-    context is fully determined by (p, k, A) and runs reproduce exactly.
+    F_p, lifted coefficient-wise with entries in [0, p), so a context is fully
+    determined by (p, k, A) and runs reproduce exactly.
     """
 
     def __init__(self, p: int, k: int, A: int):
@@ -54,7 +58,6 @@ class UnramifiedCtx:
         self.k = k
         self.A = A
         self.hbar = self.residue_field.hbar  # (c_0, ..., c_{k-1}, 1)
-        self.h = self.hbar  # lift with coefficients in [0, p)
         self.pA = p**A
         self._pow_p = [p**i for i in range(A + 1)]
 
@@ -73,52 +76,25 @@ class UnramifiedCtx:
     # -- raw polynomial-basis arithmetic on coefficient tuples -------------
 
     def vec_mul(self, a: tuple, b: tuple, pm: int) -> tuple:
-        k = self.k
-        if k == 1:
-            return ((a[0] * b[0]) % pm,)
-        if k == 2:
-            h0, h1 = self.h[0], self.h[1]
-            t = a[1] * b[1] % pm
-            return (
-                (a[0] * b[0] - t * h0) % pm,
-                (a[0] * b[1] + a[1] * b[0] - t * h1) % pm,
-            )
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i] % pm
-            if c:
-                for j in range(k):
-                    prod[i - k + j] -= c * self.h[j]
-        return tuple(c % pm for c in prod[:k])
-
-    def vec_pow(self, a: tuple, e: int, pm: int) -> tuple:
-        result = (1,) + (0,) * (self.k - 1)
-        base = a
-        while e:
-            if e & 1:
-                result = self.vec_mul(result, base, pm)
-            base = self.vec_mul(base, base, pm)
-            e >>= 1
-        return result
+        """a * b mod (p^r, hbar) for pm = p^r; the unit-cost benchmark times it."""
+        return poly_mul(a, b, self.hbar, pm)
 
     def vec_inv(self, a: tuple, r: int) -> tuple:
         """Inverse of a unit vector mod p^r: residue-field inverse, Newton-lifted."""
-        pm = self.p**r
-        abar = self.residue_field.element([c % self.p for c in a])
-        x = tuple(abar.inverse().coeffs)
+        p, h = self.p, self.hbar
+        pm = p**r
+        abar = tuple([c % p for c in a])
+        if not any(abar):
+            raise ZeroDivisionError("inverse of a vector that is 0 mod p")
+        x = poly_pow(abar, p**self.k - 2, h, p)
         # x_{i+1} = x_i (2 - a x_i) doubles the number of correct digits
         prec = 1
         while prec < r:
-            ax = self.vec_mul(a, x, pm)
-            two_minus = tuple((-c) % pm for c in ax)
-            two_minus = ((two_minus[0] + 2) % pm,) + two_minus[1:]
-            x = self.vec_mul(x, two_minus, pm)
+            ax = poly_mul(a, x, h, pm)
+            two_minus = ((2 - ax[0]) % pm, *[-c % pm for c in ax[1:]])
+            x = poly_mul(x, two_minus, h, pm)
             prec *= 2
-        return tuple(c % pm for c in x)
+        return x
 
     # -- constructors -------------------------------------------------------
 
@@ -312,7 +288,7 @@ class WittApprox:
         if self.prec == 0 or other.prec == 0:
             return ctx.zero_approx(self.min_valuation + other.min_valuation)
         r = min(self.prec, other.prec)
-        vec = ctx.vec_mul(self.coeffs, other.coeffs, ctx.p**r)
+        vec = poly_mul(self.coeffs, other.coeffs, ctx.hbar, ctx.p**r)
         return WittApprox(ctx, self.scale + other.scale, vec, r, False)
 
     __rmul__ = __mul__
@@ -369,18 +345,12 @@ class WittApprox:
 
     # -- reductions and comparisons -------------------------------------------
 
-    def eq_to_prec(self, other: "WittApprox", digits: int | None = None) -> bool:
-        """Equality to certified precision (optionally at least ``digits``)."""
+    def eq_to_prec(self, other: "WittApprox") -> bool:
+        """Equality to the shared certified precision."""
         diff = self - other
-        if digits is None:
-            if diff.exact:
-                return True
-            if diff.prec == 0:
-                return True  # equal to the full shared certified precision
-            # difference certified nonzero only if its valuation is below the
-            # shared certified precision, which holds by construction
-            return False
-        return diff.is_zero_to(digits)
+        # an approximate zero is equal to the full shared certified precision;
+        # a unit form's valuation is below it by construction, so it differs
+        return diff.exact or diff.prec == 0
 
     def to_record(self) -> dict:
         return {
@@ -421,7 +391,7 @@ def teichmuller(ctx: UnramifiedCtx, a: FpkElement) -> WittApprox:
     pm = ctx.pA
     vec = tuple(c % pm for c in a.coeffs)
     for _ in range(ctx.A):
-        vec = ctx.vec_pow(vec, q, pm)
+        vec = poly_pow(vec, q, ctx.hbar, pm)
     return WittApprox(ctx, 0, vec, ctx.A, False)
 
 

@@ -72,11 +72,15 @@ def witt_from_record(ctx: UnramifiedCtx, rec: dict) -> WittApprox:
 
 def point_from_record(ctx: UnramifiedCtx, rec: dict, with_wz: bool = False):
     """Rebuild the sampled inputs of a perSample record for replay."""
-    zbar = ctx.residue_field.element(rec["zbar"])
-    w = witt_from_record(ctx, rec["w"])
-    if with_wz:
-        wz = witt_from_record(ctx, rec["wz"])
-        return zbar, wz, w
+    try:
+        zbar = ctx.residue_field.element(rec["zbar"])
+        w = witt_from_record(ctx, rec["w"])
+        if with_wz:
+            return zbar, witt_from_record(ctx, rec["wz"]), w
+    except KeyError as e:
+        raise ConfigError(
+            f"replay record {rec.get('index')} lacks the field {e.args[0]!r}"
+        ) from None
     return zbar, w
 
 

@@ -37,13 +37,12 @@ class FSeriesPair:
     nonzero diagonal value f_0(z,z) = z/(1-z).
     """
 
-    order_k: int
     series: TruncSeries
     dz_series: TruncSeries
 
 
 def f_series(ctx: UnramifiedCtx, z: WittApprox, kmax: int, M: int | None = None) -> list:
-    """The family f_0..f_kmax expanded about the base point z.
+    """The family f_0..f_kmax expanded about the base point z; entry k is f_k.
 
     Every coefficient of degree j in any member is certified to satisfy
     v_p >= -v_p(j!), the bound that survives repeated dlog integration of an
@@ -66,7 +65,7 @@ def f_series(ctx: UnramifiedCtx, z: WittApprox, kmax: int, M: int | None = None)
         # integrate s/(z+u) du: 1/(z+u) = z^{-1}/(1 + u/z)
         return s.over_linear(-zinv).scalar_mul(zinv).integrate().with_tail(slope, 0)
 
-    out = [FSeriesPair(0, f0, dz0)]
+    out = [FSeriesPair(f0, dz0)]
     fk, dzk = f0, dz0
     for k in range(1, kmax + 1):
         fk = dlog_step(fk)
@@ -74,7 +73,7 @@ def f_series(ctx: UnramifiedCtx, z: WittApprox, kmax: int, M: int | None = None)
             dzk = TruncSeries.from_coeffs(ctx, "u", [-inv1z], order=M)
         else:
             dzk = dlog_step(dzk)
-        out.append(FSeriesPair(k, fk, dzk))
+        out.append(FSeriesPair(fk, dzk))
     return out
 
 

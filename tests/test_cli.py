@@ -16,6 +16,14 @@ from test_rng import deadline
 SMALL_MATRIX_SHA256 = "17bbda0f7cfc9ead04e08de0493832471c884c17faf0397865408ecf45018b64"
 
 
+THEOREM_RECORD = {
+    "params": {"p": 5, "n": 2},
+    "perSample": [{"index": 0, "zbar": [2], "pass": True, "w": {
+        "p": 5, "k": 1, "A": 6, "scale": 0, "coeffs": [3], "prec": 6,
+        "exactZero": False}}],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -290,8 +298,18 @@ def test_env_overrides_apply_to_every_check_that_takes_them(capsys, monkeypatch,
      "g-valuation needs at least one residue, got 0"),
     (("g-valuation", "--p", "7", "--n", "3", "--count", "-2"),
      "g-valuation needs at least one residue, got -2"),
+    # a theorem record has no wz, which f-lemmas samples
+    (("f-lemmas", "--p", "5", "--n", "2", "--replay", THEOREM_RECORD),
+     "replay record 0 lacks the field 'wz'"),
+    (("theorem", "--p", "5", "--n", "2", "--replay", {"perSample": [{"index": 0}]}),
+     "replay record 0 lacks the field 'zbar'"),
 ])
-def test_invalid_configuration_exits_two(capsys, argv, message):
+def test_invalid_configuration_exits_two(tmp_path, capsys, argv, message):
+    argv = list(argv)
+    if isinstance(argv[-1], dict):  # the content of a replay file
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv[-1] = str(path)
     code, _, err = run(capsys, "verify", *argv)
     assert code == 2
     assert message in err

@@ -2,8 +2,11 @@
 
 A function, class or method under ``src/polylogp`` must be referenced
 elsewhere in ``src/``, referenced from the benchmark scripts
-(``perfbench/*.py``), or exported in ``polylogp.__all__``.  Helpers that
-only tests call belong in ``tests/``.
+(``perfbench/*.py``), or exported in ``polylogp.__all__``.  A field of a
+``@dataclass`` there must be read as an attribute somewhere in ``src/`` or
+``perfbench/*.py``, unless the class is exported: its fields are then part
+of the public constructor.  Helpers that only tests call belong in
+``tests/``.
 """
 
 import ast
@@ -50,12 +53,44 @@ def _references(tree) -> set:
     return refs
 
 
+def _dataclass_fields(tree, exported=()) -> list:
+    """Annotated class-body names of every ``@dataclass`` not in ``exported``."""
+    fields = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name not in exported and any(
+            "dataclass" in ast.unparse(deco) for deco in node.decorator_list
+        ):
+            fields += [stmt.target.id for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and isinstance(stmt.target, ast.Name)]
+    return fields
+
+
+def _attribute_reads(tree) -> set:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _parse_all() -> dict:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in SRC + BENCH}
+
+
 def unused_definitions() -> list:
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SRC + BENCH}
+    trees = _parse_all()
     refs = set(polylogp.__all__)
     for tree in trees.values():
         refs |= _references(tree)
     return sorted({name for path in SRC for name in _definitions(trees[path])} - refs)
+
+
+def unread_dataclass_fields() -> list:
+    trees = _parse_all()
+    reads = set()
+    for tree in trees.values():
+        reads |= _attribute_reads(tree)
+    fields = {name for path in SRC
+              for name in _dataclass_fields(trees[path], polylogp.__all__)}
+    return sorted(fields - reads)
 
 
 def test_scan_sees_the_package():
@@ -66,6 +101,28 @@ def test_scan_sees_the_package():
 
 def test_src_holds_no_unused_or_test_only_code():
     assert unused_definitions() == []
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_dataclass_fields() == []
+
+
+def test_an_unread_field_is_flagged():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Pair:\n"
+        "    order: int\n"
+        "    series: list\n"
+        "def build(s):\n"
+        "    pair = Pair(order=0, series=s)\n"
+        "    pair.order = 1\n"
+        "    return pair.series\n"
+    )
+    assert _dataclass_fields(tree) == ["order", "series"]
+    assert _dataclass_fields(tree, exported=["Pair"]) == []
+    assert "order" not in _attribute_reads(tree)
+    assert "series" in _attribute_reads(tree)
 
 
 def test_a_reference_inside_a_namesake_is_not_a_use():

@@ -64,9 +64,12 @@ def _naive_poly_mulmod(a, b, h, pm):
     return tuple(prod[:k])
 
 
-@pytest.mark.parametrize("p,k,A", [(5, 1, 6), (7, 1, 5), (5, 2, 4), (7, 2, 4)])
+@pytest.mark.parametrize("p,k,A", [(5, 1, 6), (7, 1, 5), (5, 2, 4), (7, 2, 4),
+                                   (13, 2, 4), (7, 3, 4), (5, 3, 5), (3, 5, 6)])
 def test_unit_arithmetic_matches_integer_oracle(p, k, A):
+    # one kernel serves W(F_{p^k}) mod p^A and, at r = 1, the residue field
     ctx = UnramifiedCtx(p, k, A)
+    field = ctx.residue_field
     pA = p**A
     rng = SplitMix64(101)
     checked = 0
@@ -85,6 +88,30 @@ def test_unit_arithmetic_matches_integer_oracle(p, k, A):
         assert (m - ctx.from_vec(prod)).is_zero_to(A)
         q = a / b
         assert (q * b - a).is_zero_to(A)
+        # r = 1: residue-field products, and WittApprox products at one digit
+        abar, bbar = (tuple(c % p for c in v) for v in (va, vb))
+        prod1 = _naive_poly_mulmod(abar, bbar, ctx.hbar, p)
+        assert (field.element(abar) * field.element(bbar)).coeffs == prod1
+        assert (ctx.make(0, va, 1) * ctx.make(0, vb, 1)).coeffs == prod1
+        inv1 = field.element(abar).inverse().coeffs
+        assert ctx.vec_inv(va, 1) == inv1
+        assert _naive_poly_mulmod(abar, inv1, ctx.hbar, p) == field.one().coeffs
+
+
+@pytest.mark.parametrize("p,k", [(13, 2), (7, 3), (5, 3), (3, 5)])
+def test_vec_inv_inverts_mod_every_precision(p, k):
+    # the fields of the exhaustive residue sweeps; the oracle product is naive
+    ctx = UnramifiedCtx(p, k, 8)
+    one = ctx.one().coeffs
+    rng = SplitMix64(7 * p + k)
+    for _ in range(60):
+        va = tuple(rng.below(ctx.pA) for _ in range(k))
+        if all(c % p == 0 for c in va):
+            continue
+        for r in range(1, ctx.A + 1):
+            pr = p**r
+            a = tuple(c % pr for c in va)
+            assert _naive_poly_mulmod(a, ctx.vec_inv(va, r), ctx.hbar, pr) == one
 
 
 def test_inverse_of_two_mod_625():
@@ -129,7 +156,7 @@ def test_ring_laws_on_embedded_integers(x, y):
     a, b = ctx.from_int(x), ctx.from_int(y)
     assert (a + b).eq_to_prec(b + a)
     assert (a * b).eq_to_prec(b * a)
-    assert ((a + b) - b).eq_to_prec(a, 4)
+    assert ((a + b) - b - a).is_zero_to(4)
     total = ctx.from_int(x + y)
     assert (a + b).eq_to_prec(total)
 
