@@ -102,14 +102,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_replay(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
-    if "perSample" in blob:
-        records = [r for r in blob["perSample"] if not r.get("pass")]
-        if not records:
-            records = blob["perSample"]
-        return blob.get("params", {}), records
-    if "sample" in blob:
-        return blob.get("params", {}), [blob["sample"]]
-    raise ConfigError("replay file must contain a report or a {params, sample} record")
+    if isinstance(blob, dict) and "perSample" in blob:
+        records = blob["perSample"]
+    elif isinstance(blob, dict) and "sample" in blob:
+        records = [blob["sample"]]
+    else:
+        raise ConfigError("replay file must contain a report or a {params, sample} record")
+    params = blob.get("params", {})
+    if not (isinstance(params, dict) and isinstance(records, list)
+            and all(isinstance(r, dict) for r in records)):
+        raise ConfigError("replay params and sample records must be JSON objects")
+    return params, [r for r in records if not r.get("pass")] or records
 
 
 def _print_trace(info: dict) -> None:

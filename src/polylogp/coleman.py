@@ -100,12 +100,14 @@ class PolylogEvaluator:
     ):
         if riemann_m < 1:
             raise ValueError("riemann modulus must be >= 1")
+        if series_order is None:
+            series_order = default_series_order(ctx.p, max_weight, ctx.A)
+        if series_order < 1:
+            raise ValueError("series order must be >= 1")
         self.ctx = ctx
         self.m = riemann_m
         self.max_weight = max_weight
-        self.series_order = series_order or default_series_order(
-            ctx.p, max_weight, ctx.A
-        )
+        self.series_order = series_order
         self.trace = trace
         self._teich: dict = {}
         self._lip: dict = {}
@@ -246,7 +248,7 @@ class PolylogEvaluator:
             acc = acc + lip.shift((k - 1 - i) * n)
             if i + 1 < k:
                 zi = zi**p
-        value = acc.shift(n) * ctx.from_int(p ** (k * n) - 1).inv()
+        value = acc.shift(n) * ctx.inv_int(p ** (k * n) - 1)
         if not value.valuation_ge(n):
             raise ArithmeticError(
                 f"internal error: Li_{n} at a root of unity has valuation < {n}"
@@ -375,6 +377,7 @@ def verify_theorem(
     reduction is independent of w.
     """
     report_mod.check_weight("theorem", p, n, 2, gap=1)
+    report_mod.check_order("theorem", M)
     A = default_precision(n) if A is None else A
     m = default_riemann_m(n) if m is None else m
     M = default_series_order(p, n, A) if M is None else M
@@ -518,6 +521,7 @@ def check_maincong(
     """Disc expansion mod p: series evaluation against the finite-field sum
     of scaled Teichmuller values times w^j/j!."""
     report_mod.check_weight("maincong", p, n, 0, gap=1)
+    report_mod.check_order("maincong", M)
     A = default_precision(n) if A is None else A
     m = default_riemann_m(n) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
@@ -568,6 +572,7 @@ def check_g_valuations(
     """Certified coefficient bound of the disc series: degree j has
     v_p >= j - n - v_p(j!), checked on every stored coefficient."""
     report_mod.check_weight("g-valuation", p, n, 0, gap=1)
+    report_mod.check_order("g-valuation", M)
     if count < 1:
         raise report_mod.ConfigError(f"g-valuation needs at least one residue, got {count}")
     A = default_precision(n) if A is None else A

@@ -169,13 +169,25 @@ class FiniteField:
             yield self.from_int(n)
 
 
-@dataclass(frozen=True)
 class FpkElement:
-    field: FiniteField
-    coeffs: tuple
+    """An element of ``field`` by its coefficient tuple; immutable by convention."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FiniteField, coeffs: tuple):
+        self.field = field
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not FpkElement:
+            return NotImplemented
+        return (self.field, self.coeffs) == (other.field, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     def _check(self, other: "FpkElement"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("elements of different fields")
 
     def __add__(self, other):
@@ -232,8 +244,8 @@ class FpkElement:
 
 @lru_cache(maxsize=None)
 def _li_coeff_table(p: int, n: int) -> tuple:
-    """j^{-n} mod p for j = 1..p-1 (index j-1)."""
-    return tuple(pow(j, -n, p) if n else 1 for j in range(1, p))
+    """j^{-n} mod p for j = 2..p-1 (index j-2); the j = 1 term of li_n is x."""
+    return tuple(pow(j, -n, p) if n else 1 for j in range(2, p))
 
 
 def li_finite(n: int, x: FpkElement) -> FpkElement:
@@ -241,13 +253,12 @@ def li_finite(n: int, x: FpkElement) -> FpkElement:
     if n < 0:
         raise ValueError("weight must be >= 0")
     field = x.field
-    table = _li_coeff_table(field.p, n)
-    acc = field.zero()
-    power = field.one()
-    for j in range(1, field.p):
-        power = power * x
-        acc = acc + power * table[j - 1]
-    return acc
+    p, h, xc = field.p, field.hbar, x.coeffs
+    acc, power = list(xc), xc
+    for c in _li_coeff_table(p, n):
+        power = poly_mul(power, xc, h, p)
+        acc = [a + c * b for a, b in zip(acc, power)]
+    return FpkElement(field, tuple([a % p for a in acc]))
 
 
 def sigma(x: FpkElement) -> FpkElement:

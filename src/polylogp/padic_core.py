@@ -12,6 +12,13 @@ valuation exactly, an approximate zero only certifies a lower bound, and
 comparisons are always "equal to certified precision".  No operation returns
 digits beyond what it can certify.
 
+``WittApprox`` values are immutable by convention: no method mutates one,
+every operation returns a new value.  The class is slotted, not a frozen
+dataclass, because a run builds hundreds of thousands of them.  A context
+memoizes 1/c per nonzero integer c (``inv_int``), so the divisions of series
+integration, of the logarithm and of rational weights cost one Newton lift
+per integer and context.
+
 The unit vectors are multiplied and powered by ``finite_poly.poly_mul`` and
 ``poly_pow`` modulo p^r: the residue field F_{p^k} uses the same kernel with
 r = 1, so the two layers share one implementation of the ring.
@@ -20,7 +27,6 @@ r = 1, so the two layers share one implementation of the ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -60,6 +66,7 @@ class UnramifiedCtx:
         self.hbar = self.residue_field.hbar  # (c_0, ..., c_{k-1}, 1)
         self.pA = p**A
         self._pow_p = [p**i for i in range(A + 1)]
+        self._inv_ints: dict = {}
 
     def __eq__(self, other):
         return (
@@ -135,7 +142,14 @@ class UnramifiedCtx:
             )
         if q == 0:
             return self.exact_zero()
-        return self.from_int(q.numerator) * self.from_int(q.denominator).inv()
+        return self.from_int(q.numerator) * self.inv_int(q.denominator)
+
+    def inv_int(self, c: int) -> "WittApprox":
+        """1/c for a nonzero integer c, computed once per context."""
+        inv = self._inv_ints.get(c)
+        if inv is None:
+            inv = self._inv_ints[c] = self.from_int(c).inv()
+        return inv
 
     def from_vec(self, vec, scale: int = 0) -> "WittApprox":
         """Unit-or-zero element from k residues mod p^A, known to full precision."""
@@ -168,19 +182,33 @@ class _ZeroVecs(dict):
 _ZVEC = _ZeroVecs()
 
 
-@dataclass(frozen=True)
 class WittApprox:
     """p^scale * coeffs + O(p^{scale+prec}), coeffs a unit vector mod p^prec.
 
     ``prec == 0`` encodes an approximate zero O(p^scale); ``exact`` a proven
-    zero.  Instances are immutable; all operations return new values.
+    zero.  Immutable by convention; all operations return new values.
     """
 
-    ctx: UnramifiedCtx
-    scale: int
-    coeffs: tuple
-    prec: int
-    exact: bool
+    __slots__ = ("ctx", "scale", "coeffs", "prec", "exact")
+
+    def __init__(self, ctx: UnramifiedCtx, scale: int, coeffs: tuple, prec: int,
+                 exact: bool):
+        self.ctx = ctx
+        self.scale = scale
+        self.coeffs = coeffs
+        self.prec = prec
+        self.exact = exact
+
+    def _fields(self) -> tuple:
+        return (self.ctx, self.scale, self.coeffs, self.prec, self.exact)
+
+    def __eq__(self, other):
+        if other.__class__ is not WittApprox:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     # -- state predicates ----------------------------------------------------
 
@@ -237,7 +265,7 @@ class WittApprox:
     # -- ring operations -----------------------------------------------------
 
     def _check(self, other: "WittApprox"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("operands from different contexts")
 
     def __add__(self, other: "WittApprox") -> "WittApprox":
@@ -306,7 +334,7 @@ class WittApprox:
 
     def __truediv__(self, other: "WittApprox") -> "WittApprox":
         if isinstance(other, int):
-            other = self.ctx.from_int(other)
+            return self * self.ctx.inv_int(other)
         return self * other.inv()
 
     def __pow__(self, e: int) -> "WittApprox":
@@ -414,7 +442,7 @@ def padic_log(u: WittApprox) -> WittApprox:
     power = ctx.one()
     for m in range(1, cutoff + 1):
         power = power * t
-        term = power / ctx.from_int(m)
+        term = power * ctx.inv_int(m)
         acc = acc + (term if m % 2 else -term)
     return acc
 

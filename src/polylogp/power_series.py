@@ -120,11 +120,17 @@ class TruncSeries:
         return TruncSeries(self.ctx, self.var, [c * x for x in self.coeffs], tail)
 
     def integrate(self) -> "TruncSeries":
-        """Antiderivative with constant term 0, truncated to the same order."""
-        coeffs = [self.ctx.exact_zero()]
-        for j, c in enumerate(self.coeffs[:-1]):
-            coeffs.append(c / self.ctx.from_int(j + 1))
-        return TruncSeries(self.ctx, self.var, coeffs, self.tail.integrate(self.ctx.p))
+        """Antiderivative with constant term 0, truncated to the same order.
+
+        Coefficient j is multiplied by 1/(j+1) from the context's cache of
+        integer inverses (``UnramifiedCtx.inv_int``), so each inverse is
+        Newton-lifted once per context, not once per integration.
+        """
+        ctx = self.ctx
+        coeffs = [ctx.exact_zero()]
+        for j, c in enumerate(self.coeffs[:-1], 1):
+            coeffs.append(c * ctx.inv_int(j))
+        return TruncSeries(ctx, self.var, coeffs, self.tail.integrate(ctx.p))
 
     # -- evaluation -------------------------------------------------------------
 

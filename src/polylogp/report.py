@@ -31,6 +31,12 @@ def check_weight(command: str, p: int, n: int, low: int, gap: int | None = None)
         raise ConfigError(f"{command} needs p > n+{gap}, got p={p}, n={n}")
 
 
+def check_order(command: str, M: int | None) -> None:
+    """Raise ConfigError for a series truncation order M < 1 (None is the default)."""
+    if M is not None and M < 1:
+        raise ConfigError(f"{command} needs a series order M >= 1, got M={M}")
+
+
 def run_samples(count: int, fn, jobs: int = 1) -> list:
     """Evaluate fn(0..count-1); order of the result is always by index."""
     if jobs > 1:

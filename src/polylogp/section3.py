@@ -96,6 +96,7 @@ def delprop_check(
     """Difference formula: weighted f_{k+1} sums against log powers versus
     the difference of weight-(n+1) L-values at two congruent points."""
     report_mod.check_weight("delprop", p, n, 0, gap=2)
+    report_mod.check_order("delprop", M)
     A = default_precision(n + 1) if A is None else A
     m = default_riemann_m(n + 1) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
@@ -188,6 +189,7 @@ def f_lemmas_check(
     """Sampled driver over both single-point lemmas: the f_n congruence and
     the v_p(Df_k) >= k bound at k = max(n, 1)."""
     report_mod.check_weight("f-lemmas", p, n, 0, gap=1)
+    report_mod.check_order("f-lemmas", M)
     korder = max(n, 1)
     A = default_precision(max(n, korder)) if A is None else A
     ctx = UnramifiedCtx(p, k, A)

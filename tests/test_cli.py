@@ -303,10 +303,30 @@ def test_env_overrides_apply_to_every_check_that_takes_them(capsys, monkeypatch,
      "replay record 0 lacks the field 'wz'"),
     (("theorem", "--p", "5", "--n", "2", "--replay", {"perSample": [{"index": 0}]}),
      "replay record 0 lacks the field 'zbar'"),
+    # an order below 1 is rejected by every check that takes M
+    (("theorem", "--p", "5", "--n", "2", "--samples", "2", "-M", "0"),
+     "theorem needs a series order M >= 1, got M=0"),
+    (("maincong", "--p", "5", "--n", "2", "--samples", "2", "-M", "0"),
+     "maincong needs a series order M >= 1, got M=0"),
+    (("g-valuation", "--p", "7", "--n", "3", "-M", "0"),
+     "g-valuation needs a series order M >= 1, got M=0"),
+    (("delprop", "--p", "7", "--n", "1", "--samples", "2", "-M", "0"),
+     "delprop needs a series order M >= 1, got M=0"),
+    (("f-lemmas", "--p", "5", "--n", "2", "--samples", "2", "--order", "-1"),
+     "f-lemmas needs a series order M >= 1, got M=-1"),
+    # malformed replay files
+    (("theorem", "--p", "5", "--n", "2", "--replay", {"perSample": [5]}),
+     "replay params and sample records must be JSON objects"),
+    (("theorem", "--p", "5", "--n", "2", "--replay", {"perSample": 5}),
+     "replay params and sample records must be JSON objects"),
+    (("theorem", "--p", "5", "--n", "2", "--replay", 5),
+     "replay file must contain a report"),
+    (("theorem", "--p", "5", "--n", "2", "--replay", []),
+     "replay file must contain a report"),
 ])
 def test_invalid_configuration_exits_two(tmp_path, capsys, argv, message):
     argv = list(argv)
-    if isinstance(argv[-1], dict):  # the content of a replay file
+    if argv[-2] == "--replay" and not isinstance(argv[-1], str):  # the file's content
         path = tmp_path / "replay.json"
         path.write_text(json.dumps(argv[-1]))
         argv[-1] = str(path)

@@ -1,9 +1,12 @@
 """Finite polylogarithms and field arithmetic against naive oracles."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from polylogp.finite_poly import (
     FiniteField,
+    FpkElement,
     check_inversion_identity,
     check_inversion_identity_frobenius,
     inversion_identities,
@@ -57,6 +60,26 @@ def test_li_matches_naive_oracle_exhaustively(p):
             )
             got = li_finite(n, field.element(x)).coeffs[0]
             assert got == expected, (p, n, x)
+
+
+def _li_finite_by_elements(n, x):
+    """li_n(x) as an FpkElement sum, one element per product and per sum."""
+    field = x.field
+    acc, power = field.zero(), field.one()
+    for j in range(1, field.p):
+        power = power * x
+        acc = acc + power * pow(j, -n, field.p)
+    return acc
+
+
+@pytest.mark.parametrize("p, k", [(13, 2), (7, 3), (3, 5)])
+def test_li_finite_matches_the_element_loop_everywhere(p, k):
+    field = FiniteField(p, k)
+    for x in field.elements():
+        for n in range(7):
+            got = li_finite(n, x)
+            assert got.field is field
+            assert got.coeffs == _li_finite_by_elements(n, x).coeffs, (p, k, n, x)
 
 
 def test_li_frozen_values_p5():
@@ -243,3 +266,36 @@ def test_element_int_encoding_round_trip():
     for t in range(49):
         digits = field.from_int(t).coeffs  # low digit = constant term
         assert sum(c * 7**i for i, c in enumerate(digits)) == t
+
+
+@dataclass(frozen=True)
+class _FrozenElement:
+    """The field layout FpkElement had as a frozen dataclass, for == and hash."""
+
+    field: FiniteField
+    coeffs: tuple
+
+
+def test_elements_of_equal_fields_combine_and_unequal_ones_raise():
+    field, twin = FiniteField(7, 2), FiniteField(7, 2)
+    a, b, b_twin = field.from_int(23), field.from_int(31), twin.from_int(31)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        assert op(a, b_twin).coeffs == op(a, b).coeffs
+        assert op(b_twin, a).coeffs == op(b, a).coeffs
+        for stranger in (FiniteField(7, 3).from_int(31), FiniteField(5, 2).from_int(3)):
+            with pytest.raises(ValueError):
+                op(a, stranger)
+
+
+def test_element_equality_and_hash_are_those_of_the_frozen_fields():
+    field, twin, other = FiniteField(7, 2), FiniteField(7, 2), FiniteField(5, 2)
+    values = [field.from_int(9), twin.from_int(9), field.from_int(10), other.from_int(9),
+              FpkElement(other, (2, 1)), field.zero(), twin.zero()]
+    for x in values:
+        assert hash(x) == hash(_FrozenElement(x.field, x.coeffs))
+        for y in values:
+            assert (x == y) == (_FrozenElement(x.field, x.coeffs)
+                                == _FrozenElement(y.field, y.coeffs))
+    assert values[0] == values[1] and values[0] != values[2]
+    assert values[0] != (2, 1) and field.zero() != 0
+    assert len(set(values)) == 5

@@ -114,6 +114,67 @@ def test_vec_inv_inverts_mod_every_precision(p, k):
             assert _naive_poly_mulmod(a, ctx.vec_inv(va, r), ctx.hbar, pr) == one
 
 
+@pytest.mark.parametrize("p", (3, 5, 7, 13))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_inv_int_is_the_inverse_of_from_int(p, k):
+    # every c = +-1..40, so multiples of p (and of p^2, p^3 for p = 3) too
+    for A in (1, 2, 5, 8):
+        ctx = UnramifiedCtx(p, k, A)
+        for c in range(1, 41):
+            for signed in (c, -c):
+                got = ctx.inv_int(signed)
+                assert got.to_record() == ctx.from_int(signed).inv().to_record()
+                assert ctx.inv_int(signed) is got  # computed once per context
+    with pytest.raises(ZeroDivisionError):
+        UnramifiedCtx(p, k, 3).inv_int(0)
+
+
+@dataclass(frozen=True)
+class _FrozenWitt:
+    """The field layout WittApprox had as a frozen dataclass, for == and hash."""
+
+    ctx: UnramifiedCtx
+    scale: int
+    coeffs: tuple
+    prec: int
+    exact: bool
+
+
+def _frozen(x: WittApprox) -> _FrozenWitt:
+    return _FrozenWitt(x.ctx, x.scale, x.coeffs, x.prec, x.exact)
+
+
+def test_values_from_equal_contexts_combine_and_unequal_ones_raise():
+    ctx, twin, other = UnramifiedCtx(7, 2, 5), UnramifiedCtx(7, 2, 5), UnramifiedCtx(7, 2, 6)
+    a, b = ctx.from_vec((3, 4)), ctx.from_vec((5, 1)).shift(1)
+    b_twin = twin.from_vec((5, 1)).shift(1)
+    assert b_twin.ctx is not b.ctx
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+               lambda x, y: x / y):
+        assert op(a, b_twin).to_record() == op(a, b).to_record()
+        assert op(b_twin, a).to_record() == op(b, a).to_record()
+        with pytest.raises(ValueError):
+            op(a, other.from_vec((5, 1)))
+    with pytest.raises(ValueError):
+        a + UnramifiedCtx(5, 2, 5).one()
+
+
+def test_witt_equality_and_hash_are_those_of_the_frozen_fields():
+    ctx, twin, other = UnramifiedCtx(7, 2, 5), UnramifiedCtx(7, 2, 5), UnramifiedCtx(7, 2, 6)
+    values = [ctx.from_vec((3, 4)), twin.from_vec((3, 4)), ctx.from_vec((3, 5)),
+              other.from_vec((3, 4)), ctx.from_vec((3, 4)).shift(2), ctx.exact_zero(),
+              twin.exact_zero(), ctx.zero_approx(3), ctx.zero_approx(4),
+              ctx.from_vec((3, 4)).cap_abs(2)]
+    for x in values:
+        assert hash(x) == hash(_frozen(x))
+        for y in values:
+            assert (x == y) == (_frozen(x) == _frozen(y))
+            assert (x != y) == (_frozen(x) != _frozen(y))
+    assert values[0] == values[1] and hash(values[0]) == hash(values[1])
+    assert values[0] != (3, 4) and values[0] != _frozen(values[0])
+    assert len({values[0], values[1], values[2]}) == 2
+
+
 def test_inverse_of_two_mod_625():
     ctx = UnramifiedCtx(5, 1, 4)
     assert ctx.from_int(2).inv().coeffs == (313,)

@@ -165,6 +165,55 @@ def test_over_linear_builds_what_the_products_built(p, k):
             _assert_identical(pair.dz_series, old_dz)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_integrate_matches_the_division_path(p, k):
+    ctx = UnramifiedCtx(p, k, 6)
+    rng = SplitMix64(100 * p + k)
+    for order in (max(3 * p, 30), 5):  # past p^2 (p^3 at p = 3), then a cached rerun
+        s = _random_series(ctx, rng, order)
+        coeffs = list(s.coeffs)
+        coeffs[1], coeffs[2], coeffs[3] = (ctx.exact_zero(), ctx.zero_approx(3),
+                                           coeffs[3].cap_abs(2))
+        s = TruncSeries.from_coeffs(ctx, "w", coeffs)
+        old = _integrate_growing(s)  # divides by a fresh from_int(j + 1)
+        _assert_identical(s.integrate(), TruncSeries(ctx, "w", old.coeffs[:-1], old.tail))
+
+
+def _count_vec_inv(monkeypatch) -> list:
+    calls = []
+    vec_inv = UnramifiedCtx.vec_inv
+
+    def counted(self, a, r):
+        calls.append(r)
+        return vec_inv(self, a, r)
+
+    monkeypatch.setattr(UnramifiedCtx, "vec_inv", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 2)])
+def test_series_builds_invert_each_integer_once_per_context(monkeypatch, p, k):
+    # a deterministic count, not a timing: integration divides by 1..M, and
+    # those inverses are shared by every weight and every member of the family
+    n, A = 4, 9
+    ctx = UnramifiedCtx(p, k, A)
+    M = default_series_order(p, n, A)
+    ev = PolylogEvaluator(ctx, 3, max_weight=n, series_order=M)
+    alpha = ev.teich(ctx.residue_field.from_int(3))
+    calls = _count_vec_inv(monkeypatch)
+    for j in range(n + 1):
+        ev.g_series(alpha, j)
+    assert M <= len(calls) <= M + 3 * (n + 1)
+
+    ctx = UnramifiedCtx(p, k, A)  # a fresh context, so no inverse is cached yet
+    z = ctx.from_vec(alpha.coeffs)
+    calls.clear()
+    fs = f_series(ctx, z, n)
+    Mf = fs[0].series.order
+    assert Mf <= len(calls) <= Mf + 3 * (n + 1)
+
+
 @st.composite
 def linear_cases(draw):
     p = draw(st.sampled_from(PRIMES))
