@@ -24,7 +24,6 @@ from fractions import Fraction
 from .finite_poly import FpkElement, li_finite, poly_mul, sigma
 from .identities import a_coeffs
 from .padic_core import (
-    PrecisionError,
     UnramifiedCtx,
     WittApprox,
     padic_log,
@@ -35,6 +34,10 @@ from .power_series import TruncSeries
 from .report import sample_w, sample_zbar
 from .rng import SplitMix64
 from . import report as report_mod
+
+
+# digits to which the tolerance checks (funceq, delprop, e-recover) compare
+CHECK_DIGITS = 3
 
 
 def default_precision(n: int) -> int:
@@ -305,51 +308,50 @@ class PolylogEvaluator:
 
     # -- point values ---------------------------------------------------------------
 
-    def li_n_at(self, x: XPoint, n: int, min_digits: int = 1) -> WittApprox:
+    def li_n_at(self, x: XPoint, n: int) -> WittApprox:
         """Li_n(z) via the disc series; weight 0 is z/(1-z) directly."""
         if n < 0:
             raise ValueError("weight must be >= 0")
         if n == 0:
             return x.z * (self.ctx.one() - x.z).inv()
         g = self.g_series(x.alpha, n)
-        return g.eval_at(x.w, target=min_digits).shift(n)
+        return g.eval_at(x.w, target=1).shift(n)
 
     def log_at(self, x: XPoint) -> WittApprox:
         """log z; the Teichmuller factor contributes 0."""
         return padic_log(self.ctx.one() + x.w.shift(1))
 
-    def _log_combination(self, x: XPoint, n: int, weights: list,
-                         min_digits: int) -> WittApprox:
+    def _log_combination(self, x: XPoint, n: int, weights: list) -> WittApprox:
         """sum_k weights[k] log^k(z) Li_{n-k}(z), for rational weights."""
         ctx = self.ctx
         logz = self.log_at(x)
         acc = ctx.exact_zero()
         logpow = ctx.one()
         for k, c in enumerate(weights):
-            acc = acc + ctx.from_rational(c) * logpow * self.li_n_at(x, n - k, min_digits)
+            acc = acc + ctx.from_rational(c) * logpow * self.li_n_at(x, n - k)
             logpow = logpow * logz
         return acc
 
-    def big_l_at(self, x: XPoint, n: int, min_digits: int = 1) -> WittApprox:
+    def big_l_at(self, x: XPoint, n: int) -> WittApprox:
         """sum_{m=0}^{n-1} (-1)^m/m! Li_{n-m}(z) log^m(z); needs p > n."""
         if self.ctx.p <= n:
             raise ValueError(f"needs p > n, got p={self.ctx.p}, n={n}")
         weights = [Fraction((-1) ** m, math.factorial(m)) for m in range(n)]
-        return self._log_combination(x, n, weights, min_digits)
+        return self._log_combination(x, n, weights)
 
-    def f_n_at(self, x: XPoint, n: int, min_digits: int = 1) -> WittApprox:
+    def f_n_at(self, x: XPoint, n: int) -> WittApprox:
         """The weight-n combination sum_k a_k log^k(z) Li_{n-k}(z); p > n+1."""
         if self.ctx.p <= n + 1:
             raise ValueError(f"needs p > n+1, got p={self.ctx.p}, n={n}")
-        return self._log_combination(x, n, a_coeffs(n), min_digits)
+        return self._log_combination(x, n, a_coeffs(n))
 
-    def df_n_at(self, x: XPoint, n: int, min_digits: int = 1) -> WittApprox:
+    def df_n_at(self, x: XPoint, n: int) -> WittApprox:
         """D F_n in closed form: (1-z) sum_k log^k Li_{n-k-1} (a_k + (k+1)a_{k+1})."""
         if self.ctx.p <= n + 1:
             raise ValueError(f"needs p > n+1, got p={self.ctx.p}, n={n}")
         a = a_coeffs(n) + [Fraction(0)]  # a_n = 0
         weights = [a[k] + (k + 1) * a[k + 1] for k in range(n)]
-        return (self.ctx.one() - x.z) * self._log_combination(x, n - 1, weights, min_digits)
+        return (self.ctx.one() - x.z) * self._log_combination(x, n - 1, weights)
 
 
 # -- verification drivers ------------------------------------------------------------
@@ -473,36 +475,26 @@ def check_corollary(
     ev = PolylogEvaluator(ctx, m, max_weight=max(ns))
     field = ctx.residue_field
     minus_one = -field.one()
-    jobs_records = []
-    index = 0
-    for t in range(2, p**k):
-        alphabar = field.from_int(t)
-        alpha = ev.teich(alphabar)
-        for n in ns:
-            rec = {"index": index, "alphabar": list(alphabar.coeffs), "n": n}
-            index += 1
-            try:
-                li = ev.li_n_teich(alpha, n)
-                tilde = li.shift(-n)
-                rec["valuationOk"] = li.valuation_ge(n)
-                lhs = residue(tilde)
-                rhs = -(li_finite(n, sigma(alphabar)) * (field.one() - alphabar).inverse())
-                rec["lhsResidue"] = list(lhs.coeffs)
-                rec["rhsResidue"] = list(rhs.coeffs)
-                rec["pass"] = rec["valuationOk"] and lhs == rhs
-                if alphabar == minus_one and n % 2 == 0:
-                    extra = li.valuation_ge(n + 1)
-                    rec["extraValuationOk"] = extra
-                    rec["pass"] = rec["pass"] and extra
-            except PrecisionError as e:
-                rec["precisionShortfall"] = str(e)
-                rec["pass"] = False
-            jobs_records.append(rec)
+
+    def measure(alphabar: FpkElement, n: int) -> dict:
+        li = ev.li_n_teich(ev.teich(alphabar), n)
+        val_ok = li.valuation_ge(n)
+        lhs = residue(li.shift(-n))
+        rhs = -(li_finite(n, sigma(alphabar)) * (field.one() - alphabar).inverse())
+        rec = {"valuationOk": val_ok, "lhsResidue": list(lhs.coeffs),
+               "rhsResidue": list(rhs.coeffs), "pass": val_ok and lhs == rhs}
+        if alphabar == minus_one and n % 2 == 0:
+            rec["extraValuationOk"] = li.valuation_ge(n + 1)
+            rec["pass"] = rec["pass"] and rec["extraValuationOk"]
+        return rec
+
+    items = [({"alphabar": list(ab.coeffs), "n": n}, (ab, n))
+             for ab in map(field.from_int, range(2, p**k)) for n in ns]
     return report_mod.assemble(
         "corollary",
         {"p": p, "k": k, "ns": list(ns), "A": A, "m": m},
         ctx,
-        jobs_records,
+        report_mod.records(items, measure),
     )
 
 
@@ -590,8 +582,8 @@ def check_g_valuations(
             if all(zb != s for s in seen):
                 seen.append(zb)
         residues = seen
-    records = []
-    for idx, zbar in enumerate(residues):
+
+    def measure(zbar: FpkElement) -> dict:
         g = ev.g_series(ev.teich(zbar), n)
         bad = []
         for j, c in enumerate(g.coeffs):
@@ -599,20 +591,14 @@ def check_g_valuations(
             mv = c.min_valuation
             if mv is not math.inf and mv < bound:
                 bad.append({"j": j, "certified": int(mv), "bound": bound})
-        records.append(
-            {
-                "index": idx,
-                "zbar": list(zbar.coeffs),
-                "order": g.order,
-                "violations": bad,
-                "pass": not bad,
-            }
-        )
+        return {"order": g.order, "violations": bad, "pass": not bad}
+
+    items = [({"zbar": list(zbar.coeffs)}, (zbar,)) for zbar in residues]
     return report_mod.assemble(
         "g-valuation",
         {"p": p, "n": n, "k": k, "A": A, "m": m, "count": len(residues), "seed": seed},
         ctx,
-        records,
+        report_mod.records(items, measure),
     )
 
 
@@ -626,7 +612,6 @@ def check_functional_equation(
     m: int | None = None,
     jobs: int = 1,
     points: list | None = None,
-    check_digits: int = 3,
 ) -> dict:
     """F_n(z) + (-1)^n F_n(1/z) = 0 and F_n = -n L_n - L_{n-1} log z."""
     report_mod.check_weight("funceq", p, n, 2, gap=1)
@@ -640,15 +625,15 @@ def check_functional_equation(
         x = ev.xpoint(zbar, w)
         fz = ev.f_n_at(x, n)
         finv = ev.f_n_at(x.inverse_point(), n)
-        inversion_ok = (fz + ctx.from_int(sign) * finv).is_zero_to(check_digits)
+        inversion_ok = (fz + ctx.from_int(sign) * finv).is_zero_to(CHECK_DIGITS)
         logz = ev.log_at(x)
         viaL = ctx.from_int(-n) * ev.big_l_at(x, n) - ev.big_l_at(x, n - 1) * logz
-        l_route_ok = (fz - viaL).is_zero_to(check_digits)
+        l_route_ok = (fz - viaL).is_zero_to(CHECK_DIGITS)
         return {"inversionOk": inversion_ok, "lRouteOk": l_route_ok,
                 "pass": inversion_ok and l_route_ok}
 
     return report_mod.sampled_report(
         "functional-equation",
-        {"p": p, "n": n, "k": k, "A": A, "m": m, "checkDigits": check_digits},
+        {"p": p, "n": n, "k": k, "A": A, "m": m, "checkDigits": CHECK_DIGITS},
         ctx, measure, samples, seed, jobs, points,
     )

@@ -169,22 +169,12 @@ class FiniteField:
             yield self.from_int(n)
 
 
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class FpkElement:
     """An element of ``field`` by its coefficient tuple; immutable by convention."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FiniteField, coeffs: tuple):
-        self.field = field
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        if other.__class__ is not FpkElement:
-            return NotImplemented
-        return (self.field, self.coeffs) == (other.field, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
+    field: FiniteField
+    coeffs: tuple
 
     def _check(self, other: "FpkElement"):
         if self.field is not other.field and self.field != other.field:

@@ -189,21 +189,12 @@ def gen_function_check(n: int) -> GenFunctionReport:
 
 def c_sum(n: int) -> Fraction:
     """sum_k (-1)^k (k!/(k+1)!) C(n,k); equals 1/(n+1)."""
-    total = sum(
-        Fraction((-1) ** k * comb(n, k), k + 1) for k in range(n + 1)
-    )
-    assert total == Fraction(1, n + 1), f"c-sum identity failed at n={n}: {total}"
-    return total
+    return sum(Fraction((-1) ** k * comb(n, k), k + 1) for k in range(n + 1))
 
 
 def d_sum(n: int) -> Fraction:
     """sum_k (-1)^k (k!/(k+1)!) C(n,k) (n-k); equals 1 for n >= 1."""
-    total = sum(
-        Fraction((-1) ** k * comb(n, k) * (n - k), k + 1) for k in range(n + 1)
-    )
-    if n >= 1:
-        assert total == 1, f"d-sum identity failed at n={n}: {total}"
-    return total
+    return sum(Fraction((-1) ** k * comb(n, k) * (n - k), k + 1) for k in range(n + 1))
 
 
 def e_coeffs(n: int) -> list:
@@ -216,67 +207,47 @@ def e_coeffs(n: int) -> list:
     return out
 
 
-def identities_report(nmax: int = 12, cd_max: int = 20) -> dict:
+# the binomial constants are checked for n = 1..CD_MAX
+CD_MAX = 20
+
+
+def _coefficient_system(n: int) -> dict:
+    try:
+        solved = solve_conds(n)
+    except SingularSystemError as e:
+        return {"error": str(e), "pass": False}
+    rec = {
+        "solveMatchesClosedForm": solved == a_coeffs(n),
+        "nullityOne": conds_nullity(n) == 1,
+        "perturbationDetected": perturbation_detected(n),
+        "genFunctionOk": gen_function_check(n).passed,
+    }
+    return {**rec, "pass": all(rec.values())}
+
+
+def _binomial_constants(n: int) -> dict:
+    c_ok = c_sum(n) == Fraction(1, n + 1)
+    d_ok = d_sum(n) == 1
+    return {"cOk": c_ok, "dOk": d_ok, "pass": c_ok and d_ok}
+
+
+def _simplified_weights(n: int) -> dict:
+    e = e_coeffs(n)
+    return {"pass": e[n] == -n and e[n - 1] == -1 and all(e[i] == 0 for i in range(n - 1))}
+
+
+def identities_report(nmax: int = 12) -> dict:
     """Exact-rational verification bundle: unique solvability of the
     coefficient conditions, closed-form agreement, perturbation sensitivity,
     the generating-function expansion, and the two binomial constants."""
     from . import report as report_mod
 
-    records = []
-    idx = 0
-    for n in range(2, nmax + 1):
-        try:
-            solved = solve_conds(n)
-            rec = {
-                "index": idx,
-                "check": "coefficient-system",
-                "n": n,
-                "solveMatchesClosedForm": solved == a_coeffs(n),
-                "nullityOne": conds_nullity(n) == 1,
-                "perturbationDetected": perturbation_detected(n),
-                "genFunctionOk": gen_function_check(n).passed,
-            }
-            rec["pass"] = all(
-                rec[key]
-                for key in (
-                    "solveMatchesClosedForm",
-                    "nullityOne",
-                    "perturbationDetected",
-                    "genFunctionOk",
-                )
-            )
-        except SingularSystemError as e:
-            rec = {
-                "index": idx,
-                "check": "coefficient-system",
-                "n": n,
-                "error": str(e),
-                "pass": False,
-            }
-        records.append(rec)
-        idx += 1
-    for n in range(1, cd_max + 1):
-        try:
-            c_ok = c_sum(n) == Fraction(1, n + 1)
-            d_ok = d_sum(n) == 1
-            rec = {"index": idx, "check": "binomial-constants", "n": n,
-                   "cOk": c_ok, "dOk": d_ok, "pass": c_ok and d_ok}
-        except AssertionError as e:
-            rec = {"index": idx, "check": "binomial-constants", "n": n,
-                   "error": str(e), "pass": False}
-        records.append(rec)
-        idx += 1
-    for n in range(2, nmax + 1):
-        e = e_coeffs(n)
-        ok = (
-            e[n] == -n
-            and e[n - 1] == -1
-            and all(e[i] == 0 for i in range(n - 1))
-        )
-        records.append(
-            {"index": idx, "check": "simplified-weights", "n": n, "pass": ok}
-        )
-        idx += 1
+    families = (("coefficient-system", _coefficient_system, range(2, nmax + 1)),
+                ("binomial-constants", _binomial_constants, range(1, CD_MAX + 1)),
+                ("simplified-weights", _simplified_weights, range(2, nmax + 1)))
+    items = [({"check": name, "n": n}, (measure, n))
+             for name, measure, ns in families for n in ns]
     return report_mod.assemble(
-        "identities", {"nmax": nmax, "cdMax": cd_max}, None, records
+        "identities", {"nmax": nmax, "cdMax": CD_MAX}, None,
+        report_mod.records(items, lambda measure, n: measure(n)),
     )

@@ -65,22 +65,16 @@ def inversion_check_report(p: int, k: int = 1, ns=(2, 3, 4, 5, 6)) -> dict:
     counterexamples so the defect is visible, not hidden.
     """
     field = FiniteField(p, k)
-    records = []
-    for idx, n in enumerate(ns):
+
+    def measure(n: int) -> dict:
         rep, frob = inversion_identities(n, field)
-        records.append(
-            {
-                "index": idx,
-                "n": n,
-                "checked": rep.checked,
-                "counterexamples": rep.counterexamples[:5],
+        return {"checked": rep.checked, "counterexamples": rep.counterexamples[:5],
                 "counterexampleCount": len(rep.counterexamples),
-                "frobeniusFormOk": frob.passed,
-                "pass": rep.passed,
-            }
-        )
+                "frobeniusFormOk": frob.passed, "pass": rep.passed}
+
     return report_mod.assemble(
-        "inversion", {"p": p, "k": k, "ns": list(ns)}, None, records
+        "inversion", {"p": p, "k": k, "ns": list(ns)}, None,
+        report_mod.records([({"n": n}, (n,)) for n in ns], measure),
     )
 
 

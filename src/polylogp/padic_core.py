@@ -13,8 +13,9 @@ comparisons are always "equal to certified precision".  No operation returns
 digits beyond what it can certify.
 
 ``WittApprox`` values are immutable by convention: no method mutates one,
-every operation returns a new value.  The class is slotted, not a frozen
-dataclass, because a run builds hundreds of thousands of them.  A context
+every operation returns a new value.  The class is a slotted dataclass, not
+a frozen one, because a run builds hundreds of thousands of them and a
+frozen ``__init__`` sets each field through ``object.__setattr__``.  A context
 memoizes 1/c per nonzero integer c (``inv_int``), so the divisions of series
 integration, of the logarithm and of rational weights cost one Newton lift
 per integer and context.
@@ -27,6 +28,7 @@ r = 1, so the two layers share one implementation of the ring.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -182,6 +184,7 @@ class _ZeroVecs(dict):
 _ZVEC = _ZeroVecs()
 
 
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class WittApprox:
     """p^scale * coeffs + O(p^{scale+prec}), coeffs a unit vector mod p^prec.
 
@@ -189,26 +192,11 @@ class WittApprox:
     zero.  Immutable by convention; all operations return new values.
     """
 
-    __slots__ = ("ctx", "scale", "coeffs", "prec", "exact")
-
-    def __init__(self, ctx: UnramifiedCtx, scale: int, coeffs: tuple, prec: int,
-                 exact: bool):
-        self.ctx = ctx
-        self.scale = scale
-        self.coeffs = coeffs
-        self.prec = prec
-        self.exact = exact
-
-    def _fields(self) -> tuple:
-        return (self.ctx, self.scale, self.coeffs, self.prec, self.exact)
-
-    def __eq__(self, other):
-        if other.__class__ is not WittApprox:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
+    ctx: UnramifiedCtx
+    scale: int
+    coeffs: tuple
+    prec: int
+    exact: bool
 
     # -- state predicates ----------------------------------------------------
 

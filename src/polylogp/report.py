@@ -1,8 +1,10 @@
 """Report records, canonical serialization, and sampling harness plumbing.
 
-Reports are plain dicts with a fixed schema version.  JSON output is
-canonical (sorted keys, fixed separators, no timestamps), so identical
-configurations produce byte-identical reports.
+Reports are plain dicts with a fixed schema version.  Every check builds its
+per-sample records with the one record loop, ``records``: it numbers them
+and turns a ``PrecisionError`` into a failing ``precisionShortfall`` record.
+JSON output is canonical (sorted keys, fixed separators, no timestamps), so
+identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -37,14 +39,25 @@ def check_order(command: str, M: int | None) -> None:
         raise ConfigError(f"{command} needs a series order M >= 1, got M={M}")
 
 
-def run_samples(count: int, fn, jobs: int = 1) -> list:
-    """Evaluate fn(0..count-1); order of the result is always by index."""
+def records(items, measure, jobs: int = 1) -> list:
+    """The one record loop: record i is ``{"index": i, **fields}`` plus the
+    fields that ``measure(*args)`` returns, for the i-th ``(fields, args)``
+    item; a PrecisionError becomes a failing ``precisionShortfall`` record."""
+
+    def one(numbered: tuple) -> dict:
+        i, (fields, args) = numbered
+        rec = {"index": i, **fields}
+        try:
+            rec.update(measure(*args))
+        except PrecisionError as e:
+            rec["precisionShortfall"] = str(e)
+            rec["pass"] = False
+        return rec
+
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(fn, range(count)))
-    else:
-        records = [fn(i) for i in range(count)]
-    return sorted(records, key=lambda r: r["index"])
+            return list(pool.map(one, enumerate(items)))
+    return [one(item) for item in enumerate(items)]
 
 
 def assemble(command: str, params: dict, ctx: UnramifiedCtx | None, records: list,
@@ -112,10 +125,10 @@ def sampled_report(command: str, params: dict, ctx: UnramifiedCtx, measure,
     Point i is replayed from ``points[i]``, or drawn from ``fork(i)`` of the
     seed's stream: a residue zbar, then the disc coordinate w (``wz`` and w
     when ``with_wz``).  ``measure(zbar, [wz,] w)`` returns the check's fields
-    and its ``pass``; a PrecisionError becomes a ``precisionShortfall``
-    record.  ``finish(records, rng)``, if given, returns report-level fields
-    whose ``pass`` joins the records' verdict; a PrecisionError there too
-    becomes a report-level ``precisionShortfall``.
+    and its ``pass``, under the guard of ``records``.  ``finish(records,
+    rng)``, if given, returns report-level fields whose ``pass`` joins the
+    records' verdict; a PrecisionError there too becomes a report-level
+    ``precisionShortfall``.
     """
     count = len(points) if points is not None else samples
     if count < 1:
@@ -124,31 +137,22 @@ def sampled_report(command: str, params: dict, ctx: UnramifiedCtx, measure,
         raise ConfigError(f"{command} needs --jobs >= 1, got {jobs}")
     rng = SplitMix64(seed)
     names = ("wz", "w") if with_wz else ("w",)
-
-    def one_sample(i: int) -> dict:
-        if points is not None:
-            zbar, *ws = point_from_record(ctx, points[i], with_wz)
-        else:
-            r = rng.fork(i)
-            zbar = sample_zbar(ctx, r)
-            ws = [sample_w(ctx, r) for _ in names]
-        rec = {"index": i, "zbar": list(zbar.coeffs)}
-        rec.update((name, w.to_record()) for name, w in zip(names, ws))
-        try:
-            rec.update(measure(zbar, *ws))
-        except PrecisionError as e:
-            rec["precisionShortfall"] = str(e)
-            rec["pass"] = False
-        return rec
-
-    records = run_samples(count, one_sample, jobs)
+    if points is None:
+        forks = [rng.fork(i) for i in range(count)]
+        drawn = [(sample_zbar(ctx, r), *[sample_w(ctx, r) for _ in names]) for r in forks]
+    else:
+        drawn = [point_from_record(ctx, rec, with_wz) for rec in points]
+    items = [({"zbar": list(zbar.coeffs),
+               **{name: w.to_record() for name, w in zip(names, ws)}}, (zbar, *ws))
+             for zbar, *ws in drawn]
+    recs = records(items, measure, jobs)
     extra = None
     if finish is not None:
         try:
-            extra = finish(records, rng)
+            extra = finish(recs, rng)
         except PrecisionError as e:
             extra = {"precisionShortfall": str(e), "pass": False}
-    return assemble(command, {**params, "samples": count, "seed": seed}, ctx, records,
+    return assemble(command, {**params, "samples": count, "seed": seed}, ctx, recs,
                     extra)
 
 

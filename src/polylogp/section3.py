@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coleman import PolylogEvaluator, XPoint, default_precision, default_riemann_m
+from .coleman import CHECK_DIGITS, PolylogEvaluator, XPoint, default_precision, default_riemann_m
 from .finite_poly import FpkElement
 from .identities import e_coeffs
-from .padic_core import UnramifiedCtx, WittApprox, residue
+from .padic_core import UnramifiedCtx, WittApprox, residue, teichmuller
 from .power_series import TruncSeries
 from . import report as report_mod
 
@@ -91,7 +91,6 @@ def delprop_check(
     M: int | None = None,
     jobs: int = 1,
     points: list | None = None,
-    check_digits: int = 3,
 ) -> dict:
     """Difference formula: weighted f_{k+1} sums against log powers versus
     the difference of weight-(n+1) L-values at two congruent points."""
@@ -124,11 +123,11 @@ def delprop_check(
         l_at_s = ev.big_l_at(x, n + 1)
         rhs = ctx.from_int((-1) ** n * facts[n]) * (l_at_alpha - l_at_s)
         return {"lhs": lhs.to_record(), "rhs": rhs.to_record(),
-                "pass": (lhs - rhs).is_zero_to(check_digits)}
+                "pass": (lhs - rhs).is_zero_to(CHECK_DIGITS)}
 
     return report_mod.sampled_report(
         "delprop",
-        {"p": p, "n": n, "k": k, "A": A, "m": m, "M": Mf, "checkDigits": check_digits},
+        {"p": p, "n": n, "k": k, "A": A, "m": m, "M": Mf, "checkDigits": CHECK_DIGITS},
         ctx, measure, samples, seed, jobs, points,
     )
 
@@ -193,11 +192,10 @@ def f_lemmas_check(
     korder = max(n, 1)
     A = default_precision(max(n, korder)) if A is None else A
     ctx = UnramifiedCtx(p, k, A)
-    ev = PolylogEvaluator(ctx, default_riemann_m(n), max_weight=max(n, 1))
     Mf = default_f_order(A, korder) if M is None else M
 
     def measure(zbar: FpkElement, wz: WittApprox, w: WittApprox) -> dict:
-        z = ev.xpoint(zbar, wz).z
+        z = XPoint.from_alpha_w(ctx, teichmuller(ctx, zbar), wz).z
         fs = f_series(ctx, z, korder, Mf)
         cong = f_congruence_check(ctx, z, w, n, fs=fs)
         dfres = df_lemma_check(ctx, z, w, korder, fs=fs)
@@ -221,7 +219,6 @@ def e_recover_check(
     m: int | None = None,
     jobs: int = 1,
     points: list | None = None,
-    check_digits: int = 3,
 ) -> dict:
     """The simplified-weight route: sum_m e_m L_m(z) log^{n-m}(z) must equal
     the closed-form combination of weight n at sampled points."""
@@ -242,10 +239,10 @@ def e_recover_check(
             lhs = lhs + ctx.from_rational(ecs[mm]) * ev.big_l_at(x, mm) * logz ** (n - mm)
         rhs = ev.f_n_at(x, n)
         return {"lhs": lhs.to_record(), "rhs": rhs.to_record(),
-                "pass": (lhs - rhs).is_zero_to(check_digits)}
+                "pass": (lhs - rhs).is_zero_to(CHECK_DIGITS)}
 
     return report_mod.sampled_report(
         "e-recover",
-        {"p": p, "n": n, "k": k, "A": A, "m": m, "checkDigits": check_digits},
+        {"p": p, "n": n, "k": k, "A": A, "m": m, "checkDigits": CHECK_DIGITS},
         ctx, measure, samples, seed, jobs, points,
     )

@@ -6,7 +6,8 @@ elsewhere in ``src/``, referenced from the benchmark scripts
 ``@dataclass`` there must be read as an attribute somewhere in ``src/`` or
 ``perfbench/*.py``, unless the class is exported: its fields are then part
 of the public constructor.  Helpers that only tests call belong in
-``tests/``.
+``tests/``.  Only the one record loop, ``report.records``, builds a record
+with an ``"index"`` key.
 """
 
 import ast
@@ -93,6 +94,17 @@ def unread_dataclass_fields() -> list:
     return sorted(fields - reads)
 
 
+def index_displays(tree) -> list:
+    """The top-level definition around each dict display with an "index" key."""
+    found = []
+    for top in tree.body:
+        found += [getattr(top, "name", None) for node in ast.walk(top)
+                  if isinstance(node, ast.Dict) and any(
+                      isinstance(key, ast.Constant) and key.value == "index"
+                      for key in node.keys)]
+    return found
+
+
 def test_scan_sees_the_package():
     assert len(SRC) >= 10 and BENCH
     names = {name for path in SRC for name in _definitions(ast.parse(path.read_text()))}
@@ -136,3 +148,19 @@ def test_a_reference_inside_a_namesake_is_not_a_use():
     assert not {"derivative", "walk"} & _references(inside)
     outside = ast.parse("def step(s):\n    return s.derivative()\n")
     assert "derivative" in _references(outside)
+
+
+def test_only_the_record_loop_numbers_records():
+    trees = _parse_all()
+    found = [(path.stem, name) for path in SRC for name in index_displays(trees[path])]
+    assert found == [("report", "records")]
+
+
+def test_a_hand_numbered_record_is_flagged():
+    tree = ast.parse(
+        "def check(items):\n"
+        "    return [{\"index\": i, \"pass\": ok} for i, ok in enumerate(items)]\n"
+        "def lookup(rec):\n"
+        "    return rec[\"index\"], {**rec, \"n\": 1}\n"
+    )
+    assert index_displays(tree) == ["check"]

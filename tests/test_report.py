@@ -1,0 +1,110 @@
+"""The one record loop, its precision guard, and the record contract."""
+
+import pytest
+
+from polylogp import matrix
+from polylogp.coleman import PolylogEvaluator, check_g_valuations
+from polylogp.matrix import CHECKS, inversion_check_report, run_matrix
+from polylogp.padic_core import PrecisionError
+from polylogp.report import ConfigError, records
+
+from test_rng import deadline
+
+
+def test_records_number_items_and_merge_their_fields():
+    def measure(a, b):
+        return {"sum": a + b, "pass": a % 2 == 0}
+
+    items = [({"n": n}, (n, n + 1)) for n in (4, 7, 9)]
+    out = records(items, measure)
+    assert out == [
+        {"index": 0, "n": 4, "sum": 9, "pass": True},
+        {"index": 1, "n": 7, "sum": 15, "pass": False},
+        {"index": 2, "n": 9, "sum": 19, "pass": False},
+    ]
+    assert records(items, measure, jobs=2) == out
+    assert records([], measure) == []
+
+
+def test_records_turn_a_precision_error_into_a_shortfall():
+    def measure(n):
+        if n == 2:
+            raise PrecisionError("cannot certify")
+        return {"pass": True}
+
+    out = records([({"n": n}, (n,)) for n in (1, 2, 3)], measure)
+    assert out[1] == {"index": 1, "n": 2, "precisionShortfall": "cannot certify",
+                      "pass": False}
+    assert [r["pass"] for r in out] == [True, False, True]
+    with pytest.raises(ValueError):
+        records([({}, ())], lambda: int("x"))
+
+
+def _raise_precision(*args, **kwargs):
+    raise PrecisionError("precision ran out")
+
+
+def test_g_valuation_records_a_shortfall(monkeypatch):
+    monkeypatch.setattr(PolylogEvaluator, "g_series", _raise_precision)
+    report = check_g_valuations(5, 2, count=2)
+    assert not report["pass"] and report["failures"] == 2
+    assert [r["index"] for r in report["perSample"]] == [0, 1]
+    for rec in report["perSample"]:
+        assert rec["precisionShortfall"] == "precision ran out"
+        assert set(rec) == {"index", "zbar", "precisionShortfall", "pass"}
+
+
+def test_inversion_records_a_shortfall(monkeypatch):
+    monkeypatch.setattr(matrix, "inversion_identities", _raise_precision)
+    report = inversion_check_report(5, 1, ns=(2, 3))
+    assert not report["pass"] and report["failures"] == 2
+    assert report["perSample"] == [
+        {"index": i, "n": n, "precisionShortfall": "precision ran out", "pass": False}
+        for i, n in enumerate((2, 3))
+    ]
+
+
+def test_every_small_matrix_record_is_numbered_and_judged():
+    for report in run_matrix("small")["reports"]:
+        recs = report["perSample"]
+        assert [r["index"] for r in recs] == list(range(len(recs))), report["command"]
+        assert all(isinstance(r["pass"], bool) for r in recs), report["command"]
+
+
+EDGES = ({"A": 1}, {"A": 3}, {"A": 30}, {"m": 1}, {"M": 1}, {"M": 2})
+
+
+def _sweep_calls():
+    """Every check but identities and inversion, p in {3,5,7}, n <= 3,
+    k <= 2, with one edge value at a time among the knobs the check takes."""
+    for name, spec in CHECKS.items():
+        if name in ("identities", "inversion"):
+            continue
+        for p in (3, 5, 7):
+            for n in range(4):
+                for k in (1, 2):
+                    cell = {"p": p, "k": k, **({"ns": (n,)} if "ns" in spec.knobs
+                                                else {"n": n})}
+                    cell.update((knob, 2) for knob in ("samples", "count")
+                                if knob in spec.knobs)
+                    for edge in EDGES:
+                        if set(edge) <= set(spec.knobs):
+                            yield spec, {**cell, **edge}
+
+
+def test_bounded_sweep_reports_or_rejects_every_edge_cell():
+    # a report fails only by precision shortfall; a bad cell is a ConfigError
+    calls = rejected = 0
+    with deadline(60):
+        for spec, kwargs in _sweep_calls():
+            calls += 1
+            try:
+                report = spec.run(**kwargs)
+            except ConfigError:
+                rejected += 1
+                continue
+            failing = [r for r in report["perSample"] if not r["pass"]]
+            assert all("precisionShortfall" in r for r in failing), (spec.name, kwargs)
+            if not report["pass"] and not failing:
+                assert "precisionShortfall" in report, (spec.name, kwargs)
+    assert calls == 1080 and 0 < rejected < calls
