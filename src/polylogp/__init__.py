@@ -5,7 +5,8 @@ The package has two arithmetic layers and a verification layer on top:
 * ``finite_poly``  -- F_{p^k} in a polynomial basis, finite polylogarithms and
   both inversion identities in one pass over the field.  Its ``poly_mul`` and
   ``poly_pow`` are the one ring kernel of both layers: (Z/p^r)[x]/(hbar),
-  at r = 1 for F_{p^k} and at r <= A for W(F_{p^k}) mod p^r.
+  at r = 1 for F_{p^k} and at r <= A for W(F_{p^k}) mod p^r.  Frobenius
+  powers are a cached F_p-linear map, and inverses go through the norm.
 * ``padic_core``   -- Z_p / W(F_{p^k}) mod p^A with certified precision,
   Teichmuller lifts and the p-adic logarithm on 1 + pW.
 * ``power_series`` -- truncated series over the p-adic layer with certified
@@ -34,6 +35,7 @@ from .finite_poly import (
     FiniteField,
     FpkElement,
     li_finite,
+    frobenius,
     sigma,
     check_inversion_identity,
     check_inversion_identity_frobenius,
@@ -52,6 +54,7 @@ __all__ = [
     "FiniteField",
     "FpkElement",
     "li_finite",
+    "frobenius",
     "sigma",
     "check_inversion_identity",
     "check_inversion_identity_frobenius",

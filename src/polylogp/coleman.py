@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finite_poly import FpkElement, li_finite, poly_mul, sigma
+from .finite_poly import FpkElement, frobenius, li_finite, poly_mul, sigma
 from .identities import a_coeffs
 from .padic_core import (
     UnramifiedCtx,
@@ -275,8 +275,16 @@ class PolylogEvaluator:
         """Series in w for p^{-n} Li_n(alpha(1+pw)) on the closed unit disc.
 
         Built by n dlog-weighted integrations from the weight-0 closed form,
-        with constants injected from the Teichmuller route; coefficient j
-        carries the certified bound v_p >= j - n - v_p(j!).
+        with constants injected from the Teichmuller route.
+
+        Coefficient j of g_n has v_p >= j - n - v_p(j!), by induction on n,
+        since d/dw g_n = g_{n-1}/(1+pw).  At weight 0, z/(1-z) at
+        z = alpha(1+pw) has v_p >= j.  If coefficient l of g_{n-1} has
+        v_p >= l - n + 1 - v_p(l!), then coefficient i = sum_l c_l (-p)^{i-l}
+        of g_{n-1}/(1+pw) has v_p >= i - n + 1 - v_p(i!); integrating
+        divides coefficient i = j-1 by j, and the new constant term
+        p^{-n} Li_n(alpha) is integral (``li_n_teich``).  By Legendre,
+        v_p(j!) <= j/(p-1), so weight n installs v_p >= (1 - 1/(p-1)) j - n.
         """
         ctx = self.ctx
         M = self.series_order
@@ -298,10 +306,9 @@ class PolylogEvaluator:
         g = store[start]
         minus_p = ctx.from_int(-ctx.p)
         for j in range(start + 1, n + 1):
-            integrated = g.over_linear(minus_p).integrate()
+            integrated = g.over_linear(minus_p).integrate(slope, -j)
             coeffs = [self.li_tilde(alpha, j), *integrated.coeffs[1:]]
-            g = TruncSeries(ctx, "w", coeffs, integrated.tail).with_tail(slope, -j)
-            store[j] = g
+            g = store[j] = TruncSeries(ctx, "w", coeffs, integrated.tail)
             if self.trace is not None:
                 self.trace({"series": "disc-series", "weight": j, **g.debug_info()})
         return store[n]
@@ -445,7 +452,7 @@ def check_prop_reduction(
 
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
         lhs = residue(ev.li_p_riemann(ev.xpoint(zbar, w).z, n))
-        rhs = li_finite(n, zbar) * (field.one() - zbar**p).inverse()
+        rhs = li_finite(n, zbar) * (field.one() - frobenius(zbar)).inverse()
         return {"lhsResidue": list(lhs.coeffs), "rhsResidue": list(rhs.coeffs),
                 "pass": lhs == rhs}
 

@@ -4,7 +4,9 @@ Elements are coefficient vectors modulo a deterministically chosen monic
 irreducible ``hbar`` of degree k over F_p, so that runs are reproducible.
 ``poly_mul`` and ``poly_pow`` are the one ring kernel of the package: they
 work in (Z/p^r)[x]/(hbar), which is F_{p^k} at r = 1 and W(F_{p^k}) mod p^r
-in the unramified p-adic layer.
+in the unramified p-adic layer.  Two residue-field kernels use the algebra
+of F_{p^k} itself: ``poly_frobenius`` applies y -> y^{p^e} as a cached
+F_p-linear map, and ``poly_inverse`` inverts by the norm.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 
 def poly_mul(a: tuple, b: tuple, h: tuple, pm: int) -> tuple:
@@ -48,6 +51,45 @@ def poly_pow(a: tuple, e: int, h: tuple, pm: int) -> tuple:
         base = poly_mul(base, base, h, pm)
         e >>= 1
     return result
+
+
+@lru_cache(maxsize=None)
+def _frobenius_columns(h: tuple, p: int, e: int) -> tuple:
+    """Columns of the F_p-matrix of y -> y^{p^e} on F_p[x]/(h), basis 1, ..., x^{k-1}.
+
+    Row i of the matrix is x^{i p^e} mod h; column j lists the x^j
+    coefficients of the k rows.
+    """
+    k = len(h) - 1
+    rows = [(1,) + (0,) * (k - 1)]
+    if k > 1:
+        xe = poly_pow((0, 1) + (0,) * (k - 2), p**e, h, p)
+        for _ in range(k - 1):
+            rows.append(poly_mul(rows[-1], xe, h, p))
+    return tuple(zip(*rows))
+
+
+def poly_frobenius(a: tuple, e: int, h: tuple, p: int) -> tuple:
+    """a^{p^e} in F_{p^k} = F_p[x]/(h), h irreducible of degree k, for e >= 0.
+
+    Frobenius is F_p-linear, so this applies the images of the basis,
+    computed once per (h, p, e mod k): O(k^2) per call.
+    """
+    cols = _frobenius_columns(h, p, e % (len(h) - 1))
+    return tuple([sum(map(mul, a, col)) % p for col in cols])
+
+
+def poly_inverse(a: tuple, h: tuple, p: int) -> tuple:
+    """1/a in F_{p^k} = F_p[x]/(h) by the norm (Itoh-Tsujii), for a != 0.
+
+    With r = prod_{e=1}^{k-1} a^{p^e}, the norm N(a) = a * r lies in F_p^*,
+    so 1/a = r / N(a): k-1 linear maps, k multiplies and one inverse mod p.
+    """
+    r = (1,) + (0,) * (len(h) - 2)
+    for e in range(1, len(h) - 1):
+        r = poly_mul(r, poly_frobenius(a, e, h, p), h, p)
+    n_inv = pow(poly_mul(a, r, h, p)[0], -1, p)
+    return tuple([c * n_inv % p for c in r])
 
 
 def _poly_gcd(a: list, b: list, p: int) -> list:
@@ -220,7 +262,9 @@ class FpkElement:
     def inverse(self) -> "FpkElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        return self ** (self.field.order - 2)
+        return FpkElement(
+            self.field, poly_inverse(self.coeffs, self.field.hbar, self.field.p)
+        )
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -251,9 +295,15 @@ def li_finite(n: int, x: FpkElement) -> FpkElement:
     return FpkElement(field, tuple([a % p for a in acc]))
 
 
+def frobenius(x: FpkElement, e: int = 1) -> FpkElement:
+    """Frobenius power on F_{p^k}: x -> x^{p^e}, a cached F_p-linear map."""
+    field = x.field
+    return FpkElement(field, poly_frobenius(x.coeffs, e, field.hbar, field.p))
+
+
 def sigma(x: FpkElement) -> FpkElement:
     """Inverse Frobenius on F_{p^k}: x -> x^{p^{k-1}}."""
-    return x ** (x.field.p ** (x.field.k - 1))
+    return frobenius(x, x.field.k - 1)
 
 
 @dataclass
@@ -290,7 +340,7 @@ def inversion_identities(n: int, field: FiniteField) -> tuple:
         li_inv = li_finite(n - 1, z.inverse())
         rhs = li_finite(n - 1, z) * sign
         count += 1
-        for bad, factor in ((plain, z), (twisted, z**field.p)):
+        for bad, factor in ((plain, z), (twisted, frobenius(z))):
             lhs = factor * li_inv
             if not (lhs + rhs).is_zero():
                 bad.append({"z": list(z.coeffs), "lhs": list(lhs.coeffs),

@@ -22,7 +22,9 @@ per integer and context.
 
 The unit vectors are multiplied and powered by ``finite_poly.poly_mul`` and
 ``poly_pow`` modulo p^r: the residue field F_{p^k} uses the same kernel with
-r = 1, so the two layers share one implementation of the ring.
+r = 1, so the two layers share one implementation of the ring.  A unit
+inverse starts from the residue-field inverse by the norm
+(``finite_poly.poly_inverse``) and is Newton-lifted to p^r.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .finite_poly import FiniteField, FpkElement, poly_mul, poly_pow
+from .finite_poly import FiniteField, FpkElement, poly_inverse, poly_mul, poly_pow
 
 
 class PrecisionError(ArithmeticError):
@@ -89,13 +91,14 @@ class UnramifiedCtx:
         return poly_mul(a, b, self.hbar, pm)
 
     def vec_inv(self, a: tuple, r: int) -> tuple:
-        """Inverse of a unit vector mod p^r: residue-field inverse, Newton-lifted."""
+        """Inverse of a unit vector mod p^r: residue-field inverse by the norm
+        (``poly_inverse``), Newton-lifted."""
         p, h = self.p, self.hbar
         pm = p**r
         abar = tuple([c % p for c in a])
         if not any(abar):
             raise ZeroDivisionError("inverse of a vector that is 0 mod p")
-        x = poly_pow(abar, p**self.k - 2, h, p)
+        x = poly_inverse(abar, h, p)
         # x_{i+1} = x_i (2 - a x_i) doubles the number of correct digits
         prec = 1
         while prec < r:
@@ -394,10 +397,19 @@ class WittApprox:
 
 
 def teichmuller(ctx: UnramifiedCtx, a: FpkElement) -> WittApprox:
-    """Root of unity congruent to ``a``: the fixed point of x -> x^{p^k}.
+    """Root of unity congruent to ``a``: the fixed point T of x -> x^q, q = p^k.
 
-    Lifts the residue and applies x -> x^{p^k} exactly A times; each
-    application gains at least one digit of agreement with the fixed point.
+    Lifts the residue and applies x -> x^q exactly ceil((A-1)/k) times.
+    Each application gains k digits of agreement with T: write
+    x = T + e with v_p(e) = v >= 1; since T^q = T,
+
+        x^q - T = sum_{j=1}^{q} C(q, j) T^{q-j} e^j,
+
+    and v_p(C(q, j)) = k - v_p(j), so term j has valuation at least
+    k - v_p(j) + j*v >= k + v, because (j-1)*v >= j-1 >= v_p(j).  The first
+    lift agrees with T to v >= 1 digit, so after s steps it agrees to
+    1 + s*k >= A digits.  For A = 1 no step is needed.  T mod p^A is unique,
+    so the vector is the one that any number of steps beyond that returns.
     """
     if a.is_zero():
         raise ValueError("Teichmuller lift of 0 is not defined here")
@@ -405,8 +417,8 @@ def teichmuller(ctx: UnramifiedCtx, a: FpkElement) -> WittApprox:
         raise ValueError("residue from a different field")
     q = ctx.p**ctx.k
     pm = ctx.pA
-    vec = tuple(c % pm for c in a.coeffs)
-    for _ in range(ctx.A):
+    vec = a.coeffs
+    for _ in range(-(-(ctx.A - 1) // ctx.k)):
         vec = poly_pow(vec, q, ctx.hbar, pm)
     return WittApprox(ctx, 0, vec, ctx.A, False)
 

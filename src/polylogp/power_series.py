@@ -10,9 +10,9 @@ precision of the result.
 Both series routes are built by dlog-weighted integration, so three
 operations suffice: ``over_linear(q)`` divides by (1 - q*var) and lowers the
 slope to at most v_p(q); ``scalar_mul(c)`` adds v_p(c) to the offset;
-``integrate()`` lowers the slope by 1/(p-1) and the offset by the slope.
-Constructors that know a sharper bound for the exact function they expand
-may install it with ``with_tail``.
+``integrate(slope, offset)`` installs the bound its caller proves for the
+antiderivative of the exact function it expands.  Constructors that know a
+sharper bound for a series may also install it with ``with_tail``.
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ class TailBound:
         if self.offset is None or v is math.inf:
             return TailBound.zero_series()
         return TailBound(self.slope, self.offset + v)
-
-    def integrate(self, p: int) -> "TailBound":
-        # c_j -> c_{j-1}/j and v_p(j) <= j/(p-1) for j >= 1
-        if self.offset is None:
-            return self
-        return TailBound(self.slope - Fraction(1, p - 1), self.offset - self.slope)
 
 
 class TruncSeries:
@@ -119,18 +113,23 @@ class TruncSeries:
         tail = self.tail.shift_offset(c.min_valuation)
         return TruncSeries(self.ctx, self.var, [c * x for x in self.coeffs], tail)
 
-    def integrate(self) -> "TruncSeries":
-        """Antiderivative with constant term 0, truncated to the same order.
+    def integrate(self, slope, offset) -> "TruncSeries":
+        """Antiderivative with constant term 0, truncated to the same order,
+        carrying the tail bound (slope, offset) that the caller proves for it.
 
-        Coefficient j is multiplied by 1/(j+1) from the context's cache of
-        integer inverses (``UnramifiedCtx.inv_int``), so each inverse is
-        Newton-lifted once per context, not once per integration.
+        No bound is derived from the integrand's: each caller installs the one
+        it proves for the exact function it expands, and its docstring gives
+        the proof.  Coefficient j is multiplied by 1/(j+1) from the context's
+        cache of integer inverses (``UnramifiedCtx.inv_int``), so each inverse
+        is Newton-lifted once per context, not once per integration.
         """
         ctx = self.ctx
         coeffs = [ctx.exact_zero()]
         for j, c in enumerate(self.coeffs[:-1], 1):
             coeffs.append(c * ctx.inv_int(j))
-        return TruncSeries(ctx, self.var, coeffs, self.tail.integrate(ctx.p))
+        return TruncSeries(
+            ctx, self.var, coeffs, TailBound(Fraction(slope), Fraction(offset))
+        )
 
     # -- evaluation -------------------------------------------------------------
 

@@ -46,7 +46,12 @@ def f_series(ctx: UnramifiedCtx, z: WittApprox, kmax: int, M: int | None = None)
 
     Every coefficient of degree j in any member is certified to satisfy
     v_p >= -v_p(j!), the bound that survives repeated dlog integration of an
-    integral series; evaluation points u with v_p(u) >= 1 therefore converge.
+    integral series: f_0 = (z+u)/(1-z-u) and dz_1 = -1/(1-z) are integral;
+    multiplying by 1/(z+u) = z^{-1} sum_i (-u/z)^i, a series of units, keeps
+    v_p >= -v_p(i!) on coefficient i, and integrating divides coefficient
+    j-1 by j, giving -v_p((j-1)!) - v_p(j) = -v_p(j!).  By Legendre,
+    v_p(j!) <= j/(p-1), so each step installs v_p >= -j/(p-1).  Evaluation
+    points u with v_p(u) >= 1 therefore converge.
     """
     zbar = residue(z)
     if zbar.is_zero() or zbar.is_one():
@@ -63,7 +68,7 @@ def f_series(ctx: UnramifiedCtx, z: WittApprox, kmax: int, M: int | None = None)
 
     def dlog_step(s: TruncSeries) -> TruncSeries:
         # integrate s/(z+u) du: 1/(z+u) = z^{-1}/(1 + u/z)
-        return s.over_linear(-zinv).scalar_mul(zinv).integrate().with_tail(slope, 0)
+        return s.over_linear(-zinv).scalar_mul(zinv).integrate(slope, 0)
 
     out = [FSeriesPair(f0, dz0)]
     fk, dzk = f0, dz0

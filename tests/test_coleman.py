@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from polylogp import coleman, finite_poly, padic_core
 from polylogp.coleman import (
     PolylogEvaluator,
     XPoint,
@@ -154,6 +155,28 @@ def test_corollary_reduction_exhaustive_small():
     for p, k in ((5, 1), (7, 1), (5, 2), (7, 2)):
         report = check_corollary(p, k, ns=(1, 2, 3))
         assert report["pass"], (p, k, report["failures"])
+
+
+# poly_mul calls of a warm check_corollary(5, k=3, ns=(2,)): 8,984 with the
+# norm inverse, the linear Frobenius and ceil((A-1)/k)-step lifts, 18,834
+# with x^(q-2), sigma as a power and A-step lifts.  About 10% headroom.
+COROLLARY_POLY_MUL_BOUND = 9_900
+
+
+def test_corollary_ring_work_is_bounded(monkeypatch):
+    # a deterministic count, not a timing; the first run fills the caches
+    check_corollary(5, 3, ns=(2,))
+    calls = []
+    poly_mul = finite_poly.poly_mul
+
+    def counted(a, b, h, pm):
+        calls.append(pm)
+        return poly_mul(a, b, h, pm)
+
+    for module in (finite_poly, padic_core, coleman):
+        monkeypatch.setattr(module, "poly_mul", counted)
+    assert check_corollary(5, 3, ns=(2,))["pass"]
+    assert len(calls) <= COROLLARY_POLY_MUL_BOUND, len(calls)
 
 
 def test_even_weight_at_minus_one_gains_a_digit():

@@ -9,6 +9,7 @@ from polylogp.finite_poly import (
     FpkElement,
     check_inversion_identity,
     check_inversion_identity_frobenius,
+    frobenius,
     inversion_identities,
     is_irreducible,
     li_finite,
@@ -135,6 +136,38 @@ def test_sigma_is_field_automorphism_and_frobenius_inverse(p, k):
         for y in probe:
             assert sigma(x + y) == sigma(x) + sigma(y)
             assert sigma(x * y) == sigma(x) * sigma(y)
+
+
+KERNEL_FIELDS = [(13, 1), (13, 2), (7, 3), (5, 3), (5, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("p, k", KERNEL_FIELDS)
+def test_frobenius_is_the_p_power_map(p, k):
+    # oracle: square-and-multiply to the exponent p^e
+    field = FiniteField(p, k)
+    for x in field.elements():
+        for e in range(k + 1):
+            assert frobenius(x, e) == x ** p**e, (x, e)
+        assert frobenius(x) == frobenius(x, 1)
+        assert sigma(frobenius(x)) == x
+
+
+@pytest.mark.parametrize("p, k", KERNEL_FIELDS)
+def test_inverse_matches_the_q_minus_two_power(p, k):
+    field = FiniteField(p, k)
+    for x in field.units():
+        inv = x.inverse()
+        assert inv == x ** (field.order - 2), x
+        assert (x * inv).is_one()
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inverse()
+
+
+@pytest.mark.parametrize("p, k", [pk for pk in KERNEL_FIELDS if pk[1] >= 3])
+def test_sigma_is_not_the_frobenius_for_k_at_least_three(p, k):
+    # sigma = Frobenius^(k-1) equals Frobenius only when Frobenius^2 = id, k <= 2
+    field = FiniteField(p, k)
+    assert any(sigma(x) != frobenius(x) for x in field.elements())
 
 
 def test_sigma_fixes_zero_and_one():

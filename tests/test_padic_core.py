@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polylogp import padic_core
+from polylogp.finite_poly import poly_pow
 from polylogp.padic_core import (
     PrecisionError,
     UnramifiedCtx,
@@ -282,6 +284,52 @@ def test_teichmuller_exhaustive(p, k):
         t = teichmuller(ctx, a)
         assert (t ** (q - 1)).eq_to_prec(ctx.one()), (p, k, a)
         assert residue(t) == a
+
+
+def _teichmuller_by_a_steps(ctx, a):
+    """The lift by A applications of x -> x^q, one digit per step at least."""
+    q, pm = ctx.p**ctx.k, ctx.pA
+    vec = tuple(c % pm for c in a.coeffs)
+    for _ in range(ctx.A):
+        vec = poly_pow(vec, q, ctx.hbar, pm)
+    return vec
+
+
+TEICH_FIELDS = [(13, 1), (7, 2), (5, 3), (3, 4), (3, 5)]  # one per k = 1..5
+
+
+@pytest.mark.parametrize("p, k", TEICH_FIELDS)
+def test_teichmuller_matches_the_a_step_loop(p, k):
+    field = UnramifiedCtx(p, k, 1).residue_field
+    q = p**k
+    units = list(field.units())
+    for A in sorted({1, 2, k, k + 1, 9, 30}):
+        ctx = UnramifiedCtx(p, k, A)
+        # every unit in the small cells, an even spread of about 25 in the large
+        step = 1 if A * q <= 600 else max(1, len(units) // 25)
+        for a in units[::step]:
+            t = teichmuller(ctx, a)
+            assert t.coeffs == _teichmuller_by_a_steps(ctx, a), (p, k, A, a)
+            assert (t.scale, t.prec, t.exact) == (0, A, False)
+            assert poly_pow(t.coeffs, q, ctx.hbar, ctx.pA) == t.coeffs  # T^q = T
+            assert residue(t) == a
+
+
+@pytest.mark.parametrize("p, k", TEICH_FIELDS)
+def test_teichmuller_takes_ceil_a_minus_one_over_k_steps(monkeypatch, p, k):
+    # a deterministic count, not a timing: each q-th power gains k digits
+    calls = []
+
+    def counted(a, e, h, pm):
+        calls.append(e)
+        return poly_pow(a, e, h, pm)
+
+    monkeypatch.setattr(padic_core, "poly_pow", counted)
+    a = UnramifiedCtx(p, k, 1).residue_field.from_int(2)
+    for A in (1, 2, k, k + 1, 2 * k + 1, 9, 30):
+        calls.clear()
+        teichmuller(UnramifiedCtx(p, k, A), a)
+        assert calls == [p**k] * math.ceil((A - 1) / k), (A, len(calls))
 
 
 def test_teichmuller_frozen_example():

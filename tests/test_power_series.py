@@ -5,6 +5,7 @@ series ring (sum, convolution product, derivative) lives here as plain
 functions: it is the oracle the construction checks are written against.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -79,12 +80,26 @@ def geometric(ctx, var, ratio, order) -> TruncSeries:
     return TruncSeries(ctx, var, coeffs, TailBound(Fraction(ratio.valuation()), Fraction(0)))
 
 
+def _integral_tail(s: TruncSeries) -> TailBound:
+    """The generic bound for an antiderivative of ``s``: c_j -> c_{j-1}/j and
+    v_p(j) <= j/(p-1), so the slope drops by 1/(p-1) and the offset by the slope."""
+    if s.tail.is_infinite():
+        return s.tail
+    return TailBound(s.tail.slope - Fraction(1, s.ctx.p - 1), s.tail.offset - s.tail.slope)
+
+
+def _integrate(s: TruncSeries) -> TruncSeries:
+    """``s.integrate`` with the generic bound of ``_integral_tail``."""
+    tail = _integral_tail(s)
+    return s.integrate(tail.slope, tail.offset)
+
+
 def _integrate_growing(s: TruncSeries) -> TruncSeries:
     """Antiderivative whose order grows by one (no truncation)."""
     coeffs = [s.ctx.exact_zero()]
     for j, c in enumerate(s.coeffs):
         coeffs.append(c / s.ctx.from_int(j + 1))
-    return TruncSeries(s.ctx, s.var, coeffs, s.tail.integrate(s.ctx.p))
+    return TruncSeries(s.ctx, s.var, coeffs, _integral_tail(s))
 
 
 def _one_over_linear(ctx, q, order) -> TruncSeries:
@@ -177,7 +192,7 @@ def test_integrate_matches_the_division_path(p, k):
                                            coeffs[3].cap_abs(2))
         s = TruncSeries.from_coeffs(ctx, "w", coeffs)
         old = _integrate_growing(s)  # divides by a fresh from_int(j + 1)
-        _assert_identical(s.integrate(), TruncSeries(ctx, "w", old.coeffs[:-1], old.tail))
+        _assert_identical(_integrate(s), TruncSeries(ctx, "w", old.coeffs[:-1], old.tail))
 
 
 def _count_vec_inv(monkeypatch) -> list:
@@ -190,6 +205,30 @@ def _count_vec_inv(monkeypatch) -> list:
 
     monkeypatch.setattr(UnramifiedCtx, "vec_inv", counted)
     return calls
+
+
+def _refuted_degrees(s: TruncSeries) -> list:
+    """Degrees whose stored coefficient certifiably violates the installed
+    tail bound: a unit form has exact valuation ``scale``."""
+    return [j for j, c in enumerate(s.coeffs)
+            if c.prec > 0 and c.scale < math.floor(s.tail.slope * j + s.tail.offset)]
+
+
+@pytest.mark.parametrize("p, k, A", [(3, 1, 8), (5, 1, 7), (5, 2, 6), (7, 3, 5), (13, 1, 6)])
+def test_installed_integration_bounds_hold_on_the_stored_coefficients(p, k, A):
+    # the bounds g_series and f_series pass to integrate are proven, not
+    # derived; no stored coefficient may contradict them
+    n = 4
+    ctx = UnramifiedCtx(p, k, A)
+    ev = PolylogEvaluator(ctx, 3, max_weight=n)
+    field = ctx.residue_field
+    for t in range(2, min(field.order, 6)):
+        alpha = ev.teich(field.from_int(t))
+        for j in range(n + 1):
+            assert _refuted_degrees(ev.g_series(alpha, j)) == [], (t, j)
+        for member, pair in enumerate(f_series(ctx, alpha, n)):
+            assert _refuted_degrees(pair.series) == [], (t, member)
+            assert _refuted_degrees(pair.dz_series) == [], (t, member)
 
 
 @pytest.mark.parametrize("p, k", [(5, 1), (7, 2)])
@@ -257,7 +296,7 @@ def test_over_linear_rejects_ratios_off_the_unit_disc():
 def test_integrate_of_one_is_w():
     ctx = UnramifiedCtx(5, 1, 4)
     one = TruncSeries.from_coeffs(ctx, "w", [ctx.one()], order=3)
-    integrated = one.integrate()
+    integrated = _integrate(one)
     assert integrated.order == 3
     assert integrated.coeffs[0].is_exact_zero
     assert integrated.coeffs[1].eq_to_prec(ctx.one())
@@ -269,7 +308,7 @@ def test_derivative_integrate_round_trip():
     rng = SplitMix64(11)
     for _ in range(50):
         s = _random_series(ctx, rng, 6)
-        back = series_derivative(s.integrate())
+        back = series_derivative(_integrate(s))
         for j in range(s.order):  # up to order M-1
             assert back.coeffs[j].eq_to_prec(s.coeffs[j])
 
@@ -371,7 +410,7 @@ def test_integrate_tracks_divisor_precision_loss():
     ctx = UnramifiedCtx(5, 1, 4)
     coeffs = [ctx.one() for _ in range(6)]
     s = TruncSeries.from_coeffs(ctx, "w", coeffs)
-    integrated = s.integrate()
+    integrated = _integrate(s)
     # coefficient of w^5 is 1/5: scale -1, one digit of absolute precision lost
     assert integrated.coeffs[5].valuation() == -1
     assert integrated.coeffs[5].abs_prec == ctx.A - 1
