@@ -71,7 +71,7 @@ class XPoint:
         zbar = residue(alpha)
         if zbar.is_zero() or zbar.is_one():
             raise ValueError("residue must avoid 0 and 1 on this locus")
-        if not w.is_exact_zero and w.min_valuation < 0:
+        if not w.exact and w.min_valuation < 0:
             raise ValueError("the disc coordinate w must be integral")
         z = alpha * (ctx.one() + w.shift(1))
         return XPoint(ctx, z, alpha, w, zbar)
@@ -171,7 +171,8 @@ class PolylogEvaluator:
         ctx = self.ctx
         if z.scale != 0:
             raise ValueError("measure requires a unit z")
-        if residue(z).is_zero() or residue(z).is_one():
+        zbar = residue(z)
+        if zbar.is_zero() or zbar.is_one():
             raise ValueError("measure requires |z| = |z-1| = 1")
         p, pA, k, h = ctx.p, ctx.pA, ctx.k, ctx.hbar
         one = (1,) + (0,) * (k - 1)
@@ -291,12 +292,11 @@ class PolylogEvaluator:
         store = self._g.setdefault(alpha.coeffs, {})
         if n in store:
             return store[n]
-        one = ctx.one()
         slope = 1 - Fraction(1, ctx.p - 1)
         if 0 not in store:
-            lead = alpha * (one - alpha).inv()  # alpha/(1-alpha)
+            lead = self.li_tilde(alpha, 0)  # alpha/(1-alpha)
             lin = TruncSeries.from_coeffs(
-                ctx, "w", [one, ctx.from_int(ctx.p)], order=M, slope=1
+                ctx, "w", [ctx.one(), ctx.from_int(ctx.p)], order=M, slope=1
             )
             g0 = lin.over_linear(lead.shift(1)).scalar_mul(lead)
             store[0] = g0.with_tail(slope, 0)
@@ -632,10 +632,10 @@ def check_functional_equation(
         x = ev.xpoint(zbar, w)
         fz = ev.f_n_at(x, n)
         finv = ev.f_n_at(x.inverse_point(), n)
-        inversion_ok = (fz + ctx.from_int(sign) * finv).is_zero_to(CHECK_DIGITS)
+        inversion_ok = (fz + ctx.from_int(sign) * finv).valuation_ge(CHECK_DIGITS)
         logz = ev.log_at(x)
         viaL = ctx.from_int(-n) * ev.big_l_at(x, n) - ev.big_l_at(x, n - 1) * logz
-        l_route_ok = (fz - viaL).is_zero_to(CHECK_DIGITS)
+        l_route_ok = (fz - viaL).valuation_ge(CHECK_DIGITS)
         return {"inversionOk": inversion_ok, "lRouteOk": l_route_ok,
                 "pass": inversion_ok and l_route_ok}
 

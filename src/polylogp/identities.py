@@ -30,30 +30,36 @@ def _clear_denominators(rows):
     return out
 
 
-def rank_exact(matrix) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination."""
-    m = _clear_denominators(matrix)
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
+def _bareiss(m: list, cols: int) -> list:
+    """Fraction-free (Bareiss) forward elimination of the integer rows ``m``,
+    in place, with pivots taken from the first ``cols`` columns.
+
+    Returns the pivot columns; pivot i sits in row i, and every entry below
+    it is 0.
+    """
+    pivots = []
     prev = 1
-    r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
+        for i in range(r + 1, len(m)):
+            for j in range(c + 1, len(m[i])):
                 m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = m[r][c]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+        pivots.append(c)
+    return pivots
+
+
+def rank_exact(matrix) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination."""
+    m = _clear_denominators(matrix)
+    return len(_bareiss(m, len(m[0]))) if m else 0
 
 
 def solve_exact(matrix, rhs) -> list:
@@ -62,24 +68,15 @@ def solve_exact(matrix, rhs) -> list:
     aug = _clear_denominators(
         [list(row) + [b] for row, b in zip(matrix, rhs)]
     )
-    prev = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise SingularSystemError(f"no pivot in column {c}")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        for i in range(c + 1, n):
-            for j in range(c + 1, n + 1):
-                aug[i][j] = (aug[i][j] * aug[c][c] - aug[i][c] * aug[c][j]) // prev
-            aug[i][c] = 0
-        prev = aug[c][c]
+    pivots = _bareiss(aug, n)
+    if len(pivots) < n:
+        c = next((i for i, col in enumerate(pivots) if col != i), len(pivots))
+        raise SingularSystemError(f"no pivot in column {c}")
     sol = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
         s = Fraction(aug[i][n])
         for j in range(i + 1, n):
             s -= aug[i][j] * sol[j]
-        if aug[i][i] == 0:
-            raise SingularSystemError("zero diagonal after elimination")
         sol[i] = s / aug[i][i]
     return sol
 
@@ -242,6 +239,8 @@ def identities_report(nmax: int = 12) -> dict:
     the generating-function expansion, and the two binomial constants."""
     from . import report as report_mod
 
+    if nmax < 2:
+        raise report_mod.ConfigError(f"identities needs --nmax >= 2, got {nmax}")
     families = (("coefficient-system", _coefficient_system, range(2, nmax + 1)),
                 ("binomial-constants", _binomial_constants, range(1, CD_MAX + 1)),
                 ("simplified-weights", _simplified_weights, range(2, nmax + 1)))

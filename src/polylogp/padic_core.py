@@ -69,7 +69,7 @@ class UnramifiedCtx:
         self.A = A
         self.hbar = self.residue_field.hbar  # (c_0, ..., c_{k-1}, 1)
         self.pA = p**A
-        self._pow_p = [p**i for i in range(A + 1)]
+        self.zero_vec = (0,) * k
         self._inv_ints: dict = {}
 
     def __eq__(self, other):
@@ -114,7 +114,7 @@ class UnramifiedCtx:
         """Normalize p^scale * vec + O(p^{scale+rel}) into canonical form."""
         rel = min(rel, self.A)
         if rel <= 0:
-            return WittApprox(self, scale + rel, _ZVEC[self.k], 0, False)
+            return WittApprox(self, scale + rel, self.zero_vec, 0, False)
         pm = self.p**rel
         vec = tuple(c % pm for c in vec)
         j = rel
@@ -124,7 +124,7 @@ class UnramifiedCtx:
                 if j == 0:
                     break
         if j >= rel:
-            return WittApprox(self, scale + rel, _ZVEC[self.k], 0, False)
+            return WittApprox(self, scale + rel, self.zero_vec, 0, False)
         if j:
             pj = self.p**j
             pmj = self.p ** (rel - j)
@@ -135,7 +135,7 @@ class UnramifiedCtx:
         if c == 0:
             return self.exact_zero()
         j = int_val(c, self.p)
-        u = c // self._pow(j)
+        u = c // self.p**j
         vec = (u % self.pA,) + (0,) * (self.k - 1)
         return WittApprox(self, j, vec, self.A, False)
 
@@ -161,30 +161,16 @@ class UnramifiedCtx:
         return self.make(scale, tuple(vec), self.A)
 
     def exact_zero(self) -> "WittApprox":
-        return WittApprox(self, 0, _ZVEC[self.k], 0, True)
+        return WittApprox(self, 0, self.zero_vec, 0, True)
 
     def zero_approx(self, abs_prec: int) -> "WittApprox":
-        return WittApprox(self, abs_prec, _ZVEC[self.k], 0, False)
+        return WittApprox(self, abs_prec, self.zero_vec, 0, False)
 
     def one(self) -> "WittApprox":
         return self.from_int(1)
 
-    def _pow(self, j: int) -> int:
-        if 0 <= j <= self.A:
-            return self._pow_p[j]
-        return self.p**j
-
     def metadata(self) -> dict:
         return {"p": self.p, "k": self.k, "A": self.A, "hbar": list(self.hbar)}
-
-
-class _ZeroVecs(dict):
-    def __missing__(self, k):
-        self[k] = (0,) * k
-        return self[k]
-
-
-_ZVEC = _ZeroVecs()
 
 
 @dataclass(slots=True, unsafe_hash=True, repr=False)
@@ -202,10 +188,6 @@ class WittApprox:
     exact: bool
 
     # -- state predicates ----------------------------------------------------
-
-    @property
-    def is_exact_zero(self) -> bool:
-        return self.exact
 
     @property
     def abs_prec(self):
@@ -241,18 +223,6 @@ class WittApprox:
             f"cannot certify valuation >= {n}: value is O(p^{self.scale})"
         )
 
-    def is_zero_to(self, n: int) -> bool:
-        """Certified test self = 0 mod p^n; raises when undecidable."""
-        if self.exact:
-            return True
-        if self.prec > 0:
-            return self.scale >= n
-        if self.scale >= n:
-            return True
-        raise PrecisionError(
-            f"cannot decide vanishing mod p^{n}: value is O(p^{self.scale})"
-        )
-
     # -- ring operations -----------------------------------------------------
 
     def _check(self, other: "WittApprox"):
@@ -279,12 +249,12 @@ class WittApprox:
                 return ctx.zero_approx(n)
             return ctx.make(a.scale, a.coeffs, n - a.scale)
         s = min(a.scale, b.scale)
-        digits = n - s
-        pm = ctx.p**digits
-        fa = ctx._pow(a.scale - s) if a.scale > s else 1
-        fb = ctx._pow(b.scale - s) if b.scale > s else 1
-        vec = tuple((fa * x + fb * y) % pm for x, y in zip(a.coeffs, b.coeffs))
-        return ctx.make(s, vec, digits)
+        fa = ctx.p ** (a.scale - s) if a.scale > s else 1
+        fb = ctx.p ** (b.scale - s) if b.scale > s else 1
+        # make reduces mod p^(n-s); n - s <= A, since s is the scale of an
+        # operand and n is at most that operand's scale + prec
+        vec = tuple(fa * x + fb * y for x, y in zip(a.coeffs, b.coeffs))
+        return ctx.make(s, vec, n - s)
 
     def __neg__(self) -> "WittApprox":
         if self.exact or self.prec == 0:
@@ -331,14 +301,15 @@ class WittApprox:
     def __pow__(self, e: int) -> "WittApprox":
         if e < 0:
             return self.inv() ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        ctx = self.ctx
+        if e == 0:
+            return ctx.one()
+        if self.exact:
+            return self
+        if self.prec == 0:
+            return ctx.zero_approx(e * self.scale)
+        vec = poly_pow(self.coeffs, e, ctx.hbar, ctx.p**self.prec)
+        return WittApprox(ctx, e * self.scale, vec, self.prec, False)
 
     def shift(self, j: int) -> "WittApprox":
         """Multiply by p^j (exact: adjusts the scale only)."""

@@ -98,7 +98,7 @@ class TruncSeries:
     def over_linear(self, q: WittApprox) -> "TruncSeries":
         """self / (1 - q*var) by h_j = c_j + q*h_{j-1}; needs v_p(q) >= 0 known
         exactly (or q = 0)."""
-        if q.is_exact_zero:
+        if q.exact:
             return self
         v = q.valuation()
         if v < 0:
@@ -154,9 +154,9 @@ class TruncSeries:
         """
         if w.ctx != self.ctx:
             raise ValueError("evaluation point from a different context")
-        if not w.is_exact_zero and w.min_valuation < 0:
+        if not w.exact and w.min_valuation < 0:
             raise ValueError("evaluation requires |w| <= 1 (nonnegative valuation)")
-        if w.is_exact_zero:
+        if w.exact:
             return self.coeffs[0]
         tail_v = self.tail_valuation_at(w.min_valuation)
         if tail_v is not None and tail_v < target:
@@ -182,7 +182,7 @@ class TruncSeries:
                     "j": j,
                     "minValuation": None if mv is math.inf else int(mv),
                     "absPrec": c.abs_prec,
-                    "exactZero": c.is_exact_zero,
+                    "exactZero": c.exact,
                 }
             )
         return {

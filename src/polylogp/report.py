@@ -79,28 +79,45 @@ def assemble(command: str, params: dict, ctx: UnramifiedCtx | None, records: lis
     return report
 
 
+def _int_list(value, count: int) -> bool:
+    """Whether ``value`` is a JSON list of ``count`` integers."""
+    return (isinstance(value, list) and len(value) == count
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in value))
+
+
 def witt_from_record(ctx: UnramifiedCtx, rec: dict) -> WittApprox:
-    if rec.get("exactZero"):
+    if not isinstance(rec, dict):
+        raise ConfigError("a p-adic value must be a JSON object")
+    exact = rec.get("exactZero", False)
+    if not isinstance(exact, bool):
+        raise ConfigError("exactZero must be true or false")
+    if exact:
         return ctx.exact_zero()
     if (rec["p"], rec["k"]) != (ctx.p, ctx.k):
         raise ConfigError("record does not match the requested context")
+    if not (_int_list(rec["coeffs"], ctx.k) and _int_list([rec["scale"], rec["prec"]], 2)):
+        raise ConfigError(f"a p-adic value needs {ctx.k} integer coeffs and "
+                          "integer scale and prec")
     if rec["prec"] == 0:
         return ctx.zero_approx(rec["scale"])
     return ctx.make(rec["scale"], tuple(rec["coeffs"]), rec["prec"])
 
 
-def point_from_record(ctx: UnramifiedCtx, rec: dict, with_wz: bool = False):
-    """Rebuild the sampled inputs of a perSample record for replay."""
+def point_from_record(ctx: UnramifiedCtx, rec: dict, names: tuple):
+    """Rebuild the sampled inputs of a perSample record for replay: zbar and
+    the disc coordinates ``names``.  A missing or malformed field is a
+    ConfigError that names the record."""
     try:
+        if not _int_list(rec["zbar"], ctx.k):
+            raise ConfigError(f"zbar must hold {ctx.k} integers")
         zbar = ctx.residue_field.element(rec["zbar"])
-        w = witt_from_record(ctx, rec["w"])
-        if with_wz:
-            return zbar, witt_from_record(ctx, rec["wz"]), w
+        return zbar, *[witt_from_record(ctx, rec[name]) for name in names]
     except KeyError as e:
         raise ConfigError(
             f"replay record {rec.get('index')} lacks the field {e.args[0]!r}"
         ) from None
-    return zbar, w
+    except ConfigError as e:
+        raise ConfigError(f"replay record {rec.get('index')}: {e}") from None
 
 
 def sample_zbar(ctx: UnramifiedCtx, rng: SplitMix64) -> FpkElement:
@@ -141,7 +158,7 @@ def sampled_report(command: str, params: dict, ctx: UnramifiedCtx, measure,
         forks = [rng.fork(i) for i in range(count)]
         drawn = [(sample_zbar(ctx, r), *[sample_w(ctx, r) for _ in names]) for r in forks]
     else:
-        drawn = [point_from_record(ctx, rec, with_wz) for rec in points]
+        drawn = [point_from_record(ctx, rec, names) for rec in points]
     items = [({"zbar": list(zbar.coeffs),
                **{name: w.to_record() for name, w in zip(names, ws)}}, (zbar, *ws))
              for zbar, *ws in drawn]

@@ -8,12 +8,15 @@ import pytest
 
 from polylogp.cli import main
 from polylogp.matrix import CHECKS, DEFAULT_SEED, run_matrix
+from polylogp.power_series import TruncSeries
 from polylogp.report import to_json
 
+from test_power_series import _refuted_degrees
 from test_rng import deadline
 
-# sha256 of the canonical JSON of run_matrix("small", seed=DEFAULT_SEED)
+# sha256 of the canonical JSON of run_matrix(name, seed=DEFAULT_SEED)
 SMALL_MATRIX_SHA256 = "17bbda0f7cfc9ead04e08de0493832471c884c17faf0397865408ecf45018b64"
+FULL_MATRIX_SHA256 = "5300e61c096fbe5e39038ad241d7b7fc6a9a5b914d9704d785face6f96cccb21"
 
 
 THEOREM_RECORD = {
@@ -323,6 +326,9 @@ def test_env_overrides_apply_to_every_check_that_takes_them(capsys, monkeypatch,
      "replay file must contain a report"),
     (("theorem", "--p", "5", "--n", "2", "--replay", []),
      "replay file must contain a report"),
+    # identities with no coefficient system to check
+    (("identities", "--nmax", "1"), "identities needs --nmax >= 2, got 1"),
+    (("identities", "--nmax", "-3"), "identities needs --nmax >= 2, got -3"),
 ])
 def test_invalid_configuration_exits_two(tmp_path, capsys, argv, message):
     argv = list(argv)
@@ -333,6 +339,41 @@ def test_invalid_configuration_exits_two(tmp_path, capsys, argv, message):
     code, _, err = run(capsys, "verify", *argv)
     assert code == 2
     assert message in err
+
+
+K2_W = {"p": 5, "k": 2, "A": 6, "scale": 0, "coeffs": [3, 1], "prec": 6,
+        "exactZero": False}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("w", {**K2_W, "coeffs": [3, 1, 4]}, "a p-adic value needs 2 integer coeffs"),
+    ("w", {**K2_W, "coeffs": [3]}, "a p-adic value needs 2 integer coeffs"),
+    ("w", {**K2_W, "coeffs": [3, "1"]}, "a p-adic value needs 2 integer coeffs"),
+    ("w", {**K2_W, "prec": "6"}, "integer scale and prec"),
+    ("w", 7, "a p-adic value must be a JSON object"),
+    ("w", {**K2_W, "exactZero": "false"}, "exactZero must be true or false"),
+    ("zbar", [2, "1"], "zbar must hold 2 integers"),
+    ("zbar", [2], "zbar must hold 2 integers"),
+])
+def test_malformed_replay_value_exits_two(tmp_path, capsys, field, value, message):
+    # a value of the wrong shape is neither truncated nor left to crash
+    record = {"index": 4, "zbar": [2, 1], "w": K2_W, field: value}
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps({"params": {"p": 5, "n": 2, "k": 2},
+                                "perSample": [record]}))
+    code, _, err = run(capsys, "verify", "theorem", "--replay", str(path))
+    assert code == 2
+    assert "error: replay record 4: " in err and message in err
+
+
+def test_well_formed_k2_replay_record_passes(tmp_path, capsys):
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps({"params": {"p": 5, "n": 2, "k": 2},
+                                "perSample": [{"index": 4, "zbar": [2, 1], "w": K2_W}]}))
+    code, out, _ = run(capsys, "verify", "theorem", "--replay", str(path),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["perSample"][0]["w"] == K2_W
 
 
 @pytest.mark.parametrize("argv", [
@@ -374,3 +415,21 @@ def test_small_matrix_canonical_json_is_pinned():
     # a change to this digest changes the canonical output and must say so
     text = to_json(run_matrix("small", seed=DEFAULT_SEED))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SMALL_MATRIX_SHA256
+
+
+def test_full_matrix_is_pinned_and_keeps_every_series_tail_bound(monkeypatch):
+    # the release gate's output, and no series it evaluates (disc series and
+    # f-series) holds a stored coefficient that refutes its installed tail bound
+    evaluated = {}
+    eval_at = TruncSeries.eval_at
+
+    def recording_eval_at(self, w, target):
+        evaluated[id(self)] = self
+        return eval_at(self, w, target)
+
+    monkeypatch.setattr(TruncSeries, "eval_at", recording_eval_at)
+    text = to_json(run_matrix("full", seed=DEFAULT_SEED))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FULL_MATRIX_SHA256
+    assert len(evaluated) > 100
+    refuted = [(s.ctx, j) for s in evaluated.values() for j in _refuted_degrees(s)]
+    assert refuted == []

@@ -69,7 +69,7 @@ def measure_cases(draw):
 def _certified_equal(a, b) -> bool:
     digits = min(a.abs_prec, b.abs_prec)
     assert digits >= 1
-    return (a - b).is_zero_to(digits)
+    return (a - b).valuation_ge(digits)
 
 
 @settings(max_examples=30, deadline=None)

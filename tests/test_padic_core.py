@@ -84,12 +84,12 @@ def test_unit_arithmetic_matches_integer_oracle(p, k, A):
         a, b = ctx.from_vec(va), ctx.from_vec(vb)
         s = a + b
         total = tuple((x + y) % pA for x, y in zip(va, vb))
-        assert (s - ctx.from_vec(total)).is_zero_to(A)
+        assert (s - ctx.from_vec(total)).valuation_ge(A)
         m = a * b
         prod = _naive_poly_mulmod(va, vb, ctx.hbar, pA)
-        assert (m - ctx.from_vec(prod)).is_zero_to(A)
+        assert (m - ctx.from_vec(prod)).valuation_ge(A)
         q = a / b
-        assert (q * b - a).is_zero_to(A)
+        assert (q * b - a).valuation_ge(A)
         # r = 1: residue-field products, and WittApprox products at one digit
         abar, bbar = (tuple(c % p for c in v) for v in (va, vb))
         prod1 = _naive_poly_mulmod(abar, bbar, ctx.hbar, p)
@@ -212,6 +212,39 @@ def test_inverting_uncertified_zero_raises():
         ctx.exact_zero().inv()
 
 
+def _pow_by_mul(x: WittApprox, e: int) -> WittApprox:
+    """x^e as |e| products, the inverse first when e < 0."""
+    if e < 0:
+        x, e = x.inv(), -e
+    out = x.ctx.one()
+    for _ in range(e):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize("p, k, A", [(5, 1, 6), (3, 2, 5), (7, 2, 4), (3, 3, 4)])
+def test_pow_matches_repeated_mul(p, k, A):
+    ctx = UnramifiedCtx(p, k, A)
+    q = p**k
+    rng = SplitMix64(p * 100 + k)
+    unit = tuple(rng.below(ctx.pA) for _ in range(k - 1))
+    values = [
+        ctx.exact_zero(), ctx.zero_approx(-2), ctx.zero_approx(3),
+        ctx.make(-1, (1 + p * rng.below(p),) + unit, A - 1),
+        ctx.make(2, (p - 1,) + unit, 2),
+        teichmuller(ctx, ctx.residue_field.from_int(2)),
+    ]
+    for x in values:
+        for e in (0, 1, 2, p, q - 1, q, -1, -2, -p, -q):
+            try:
+                expected = _pow_by_mul(x, e)
+            except (ZeroDivisionError, PrecisionError) as err:
+                with pytest.raises(type(err)):
+                    x**e
+                continue
+            assert x**e == expected, (x, e)  # every field: ctx, scale, coeffs, prec, exact
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
 def test_ring_laws_on_embedded_integers(x, y):
@@ -219,7 +252,7 @@ def test_ring_laws_on_embedded_integers(x, y):
     a, b = ctx.from_int(x), ctx.from_int(y)
     assert (a + b).eq_to_prec(b + a)
     assert (a * b).eq_to_prec(b * a)
-    assert ((a + b) - b - a).is_zero_to(4)
+    assert ((a + b) - b - a).valuation_ge(4)
     total = ctx.from_int(x + y)
     assert (a + b).eq_to_prec(total)
 
@@ -231,21 +264,19 @@ def test_zero_state_distinction():
     ctx = UnramifiedCtx(5, 1, 4)
     exact = ctx.exact_zero()
     approx = ctx.zero_approx(4)
-    assert exact.is_exact_zero and not approx.is_exact_zero
+    assert exact.exact and not approx.exact
     assert exact.valuation() == math.inf
     assert approx.valuation_ge(4)
     with pytest.raises(PrecisionError):
         approx.valuation_ge(5)
-    assert approx.is_zero_to(3)
-    with pytest.raises(PrecisionError):
-        approx.is_zero_to(5)
+    assert approx.valuation_ge(3)
 
 
 def test_cancellation_produces_approx_zero_not_exact():
     ctx = UnramifiedCtx(5, 1, 4)
     diff = ctx.from_int(7) - ctx.from_int(7)
-    assert not diff.is_exact_zero
-    assert diff.is_zero_to(4)
+    assert not diff.exact
+    assert diff.valuation_ge(4)
 
 
 def test_precision_is_monotone_nonincreasing():
@@ -255,10 +286,10 @@ def test_precision_is_monotone_nonincreasing():
         va = tuple(rng.below(ctx.pA) for _ in range(2))
         vb = tuple(rng.below(ctx.pA) for _ in range(2))
         a, b = ctx.from_vec(va), ctx.from_vec(vb)
-        if a.is_exact_zero or b.is_exact_zero:
+        if a.exact or b.exact:
             continue
         s = a + b
-        if not s.is_exact_zero:
+        if not s.exact:
             assert s.abs_prec <= min(a.abs_prec, b.abs_prec)
         m = a * b
         if m.prec:
@@ -343,7 +374,7 @@ def test_teichmuller_frozen_example():
 def test_teichmuller_of_minus_one():
     ctx = UnramifiedCtx(7, 1, 5)
     t = teichmuller(ctx, ctx.residue_field.element(6))
-    assert (t + ctx.one()).is_zero_to(5)
+    assert (t + ctx.one()).valuation_ge(5)
 
 
 def test_teichmuller_rejects_zero():
@@ -359,19 +390,19 @@ def test_log_frozen_value():
     # exact rational partial sum 5 - 25/2 + 125/3 reduced mod 625 is 555
     ctx = UnramifiedCtx(5, 1, 4)
     lg = padic_log(ctx.from_int(6))
-    assert (lg - ctx.from_int(555)).is_zero_to(4)
+    assert (lg - ctx.from_int(555)).valuation_ge(4)
 
 
 def test_log_of_one_is_zero():
     ctx = UnramifiedCtx(5, 1, 4)
-    assert padic_log(ctx.one()).is_zero_to(4)
+    assert padic_log(ctx.one()).valuation_ge(4)
 
 
 def test_log_leading_term():
     for p in (5, 7, 11):
         ctx = UnramifiedCtx(p, 1, 4)
         lg = padic_log(ctx.from_int(1 + p))
-        assert (lg - ctx.from_int(p)).is_zero_to(2)
+        assert (lg - ctx.from_int(p)).valuation_ge(2)
 
 
 def test_log_requires_one_mod_p():
@@ -392,7 +423,7 @@ def test_log_is_a_homomorphism_randomized():
         count += 1
         lhs = padic_log(u * v)
         rhs = padic_log(u) + padic_log(v)
-        assert (lhs - rhs).is_zero_to(min(lhs.abs_prec, rhs.abs_prec))
+        assert (lhs - rhs).valuation_ge(min(lhs.abs_prec, rhs.abs_prec))
 
 
 def test_log_kills_teichmuller_part():
@@ -409,7 +440,7 @@ def test_log_kills_teichmuller_part():
         z = alpha * (ctx.one() + w.shift(1))
         lhs = padic_log(z ** (q - 1))
         rhs = padic_log(ctx.one() + w.shift(1)) * (q - 1)
-        assert (lhs - rhs).is_zero_to(min(lhs.abs_prec, rhs.abs_prec))
+        assert (lhs - rhs).valuation_ge(min(lhs.abs_prec, rhs.abs_prec))
 
 
 # -- residue map ------------------------------------------------------------------
@@ -537,14 +568,14 @@ class PadicApprox:
             raise PrecisionError("cannot invert a value indistinguishable from zero")
         return PadicApprox(self.p, -self.v, pow(self.unit, -1, self.p**self.r), self.r)
 
-    def is_zero_to(self, n: int) -> bool:
+    def valuation_ge(self, n: int) -> bool:
         if self.exact:
             return True
         if self.r > 0:
             return self.v >= n
         if self.v >= n:
             return True
-        raise PrecisionError(f"cannot decide vanishing mod p^{n}")
+        raise PrecisionError(f"cannot certify valuation >= {n}")
 
     def to_witt(self, ctx: UnramifiedCtx) -> WittApprox:
         if self.p != ctx.p:
@@ -572,19 +603,19 @@ def test_padic_approx_matches_witt_at_degree_one():
             (a_s - b_s, a_w - b_w),
         ):
             if scalar.exact:
-                assert witt.is_zero_to(witt.abs_prec if not witt.exact else 1)
+                assert witt.valuation_ge(witt.abs_prec if not witt.exact else 1)
                 continue
             if scalar.r == 0:
-                assert witt.is_zero_to(min(scalar.v, witt.abs_prec))
+                assert witt.valuation_ge(min(scalar.v, witt.abs_prec))
                 continue
             assert not witt.exact
             assert scalar.v == witt.valuation()
             shared = min(scalar.abs_prec, witt.abs_prec)
-            assert (witt - scalar.to_witt(ctx)).is_zero_to(shared)
+            assert (witt - scalar.to_witt(ctx)).valuation_ge(shared)
 
 
 def test_padic_approx_rational():
     x = PadicApprox.from_rational(7, Fraction(3, 14), 5)  # v_7 = -1
     assert x.v == -1
     y = PadicApprox.from_rational(7, Fraction(14, 3), 5)
-    assert (x * y - PadicApprox.from_int(7, 1, 5)).is_zero_to(4)
+    assert (x * y - PadicApprox.from_int(7, 1, 5)).valuation_ge(4)
