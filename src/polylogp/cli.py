@@ -19,7 +19,7 @@ import sys
 
 from . import matrix
 from . import report as report_mod
-from .finite_poly import FiniteField, li_finite
+from .finite_poly import FiniteField, check_odd_prime, li_finite
 from .identities import a_coeffs, e_coeffs
 from .report import ConfigError
 
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_parser("coeffs", help="print the exact coefficient systems")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--p", type=int, default=None,
-                     help="also reduce the coefficients modulo this prime")
+                     help="also reduce the coefficients modulo this odd prime")
     sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.set_defaults(handler=_coeffs)
 
@@ -184,6 +184,7 @@ def _coeffs(args) -> dict:
     }
     if args.p is not None:
         p = args.p
+        check_odd_prime(p)
         if p <= n + 1:
             raise ConfigError(f"needs p > n+1 to reduce, got p={p}, n={n}")
         reduce = lambda q: q.numerator * pow(q.denominator, -1, p) % p  # noqa: E731

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finite_poly import FpkElement, frobenius, li_finite, poly_mul, sigma
+from .finite_poly import FpkElement, frobenius, li_finite, poly_mul, sigma, unit_powers
 from .identities import a_coeffs
 from .padic_core import (
     UnramifiedCtx,
@@ -29,6 +29,7 @@ from .padic_core import (
     padic_log,
     residue,
     teichmuller,
+    teichmuller_powers,
 )
 from .power_series import TruncSeries
 from .report import sample_w, sample_zbar
@@ -239,7 +240,9 @@ class PolylogEvaluator:
         """Li_n at a root of unity via the finite Frobenius-orbit sum.
 
         Computes p^n/(p^{kn}-1) * sum_i p^{(k-1-i)n} Li^{(p)}_n(alpha^{p^i})
-        over the orbit, and certifies the valuation is at least n.
+        over the orbit, and certifies the valuation is at least n.  The orbit
+        steps by the Witt Frobenius, which is alpha -> alpha^p at a root of
+        unity (``WittApprox.frobenius``).
         """
         if n < 1:
             raise ValueError("weight must be >= 1 here; weight 0 is z/(1-z)")
@@ -251,7 +254,7 @@ class PolylogEvaluator:
             lip = self.li_p_riemann(zi, n)
             acc = acc + lip.shift((k - 1 - i) * n)
             if i + 1 < k:
-                zi = zi**p
+                zi = zi.frobenius()
         value = acc.shift(n) * ctx.inv_int(p ** (k * n) - 1)
         if not value.valuation_ge(n):
             raise ArithmeticError(
@@ -473,7 +476,9 @@ def check_corollary(
     value -li_n(sigma(alphabar))/(1-alphabar), for every residue not 0 or 1.
 
     At alphabar = -1 with n even the finite side vanishes, which forces one
-    extra digit of valuation; that sharpening is asserted as well.
+    extra digit of valuation; that sharpening is asserted as well.  The lifts
+    alpha come from one walk of the unit group (``teichmuller_powers``);
+    the records stay in integer-encoding order of alphabar.
     """
     for n in ns:
         report_mod.check_weight("corollary", p, n, 1)
@@ -482,9 +487,10 @@ def check_corollary(
     ev = PolylogEvaluator(ctx, m, max_weight=max(ns))
     field = ctx.residue_field
     minus_one = -field.one()
+    lifts = dict(zip(unit_powers(p, k), teichmuller_powers(ctx)))
 
     def measure(alphabar: FpkElement, n: int) -> dict:
-        li = ev.li_n_teich(ev.teich(alphabar), n)
+        li = ev.li_n_teich(lifts[alphabar.coeffs], n)
         val_ok = li.valuation_ge(n)
         lhs = residue(li.shift(-n))
         rhs = -(li_finite(n, sigma(alphabar)) * (field.one() - alphabar).inverse())
@@ -541,7 +547,7 @@ def check_maincong(
                 "pass": lhs == rhs}
 
     # M is not in the params, so a replay falls back to the default order
-    # (ROADMAP item 3)
+    # (ROADMAP item 1)
     return report_mod.sampled_report(
         "maincong", {"p": p, "n": n, "k": k, "A": A, "m": m}, ctx, measure,
         samples, seed, jobs, points,

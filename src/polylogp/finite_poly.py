@@ -6,7 +6,9 @@ irreducible ``hbar`` of degree k over F_p, so that runs are reproducible.
 work in (Z/p^r)[x]/(hbar), which is F_{p^k} at r = 1 and W(F_{p^k}) mod p^r
 in the unramified p-adic layer.  Two residue-field kernels use the algebra
 of F_{p^k} itself: ``poly_frobenius`` applies y -> y^{p^e} as a cached
-F_p-linear map, and ``poly_inverse`` inverts by the norm.
+F_p-linear map, and ``poly_inverse`` inverts by the norm.  ``unit_powers``
+lists the cyclic group F_{p^k}^* as the powers of one primitive root, so an
+exhaustive sweep can walk it and read 1/z = g^{-i} off the walk.
 """
 
 from __future__ import annotations
@@ -92,6 +94,12 @@ def poly_inverse(a: tuple, h: tuple, p: int) -> tuple:
     return tuple([c * n_inv % p for c in r])
 
 
+def check_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime (trial division)."""
+    if p < 3 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def _poly_gcd(a: list, b: list, p: int) -> list:
     a, b = list(a), list(b)
     while any(b):
@@ -157,8 +165,7 @@ class FiniteField:
     """F_{p^k} with basis 1, x, ..., x^{k-1} modulo ``hbar``."""
 
     def __init__(self, p: int, k: int = 1):
-        if p < 3 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        check_odd_prime(p)
         if k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k}")
         self.p = p
@@ -277,6 +284,35 @@ class FpkElement:
 
 
 @lru_cache(maxsize=None)
+def unit_powers(p: int, k: int) -> tuple:
+    """g^0, g^1, ..., g^{q-2} in F_q = F_p[x]/(hbar), q = p^k, as coefficient
+    tuples, for g the least primitive root in integer-encoding order.
+
+    F_q^* is cyclic of order q-1, so g generates it exactly when
+    g^{(q-1)/r} != 1 for every prime r | q-1 (found by trial division), and
+    then the q-1 powers list every unit once.  Built on first use per (p, k).
+    """
+    field = FiniteField(p, k)
+    h, q = field.hbar, field.order
+    primes, rest, d = [], q - 1, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    if rest > 1:
+        primes.append(rest)
+    one = field.one().coeffs
+    g = next(c for c in (field.from_int(t).coeffs for t in range(1, q))
+             if all(poly_pow(c, (q - 1) // r, h, p) != one for r in primes))
+    powers = [one]
+    for _ in range(q - 2):
+        powers.append(poly_mul(powers[-1], g, h, p))
+    return tuple(powers)
+
+
+@lru_cache(maxsize=None)
 def _li_coeff_table(p: int, n: int) -> tuple:
     """j^{-n} mod p for j = 2..p-1 (index j-2); the j = 1 term of li_n is x."""
     return tuple(pow(j, -n, p) if n else 1 for j in range(2, p))
@@ -320,7 +356,7 @@ class InversionReport:
 
 
 def inversion_identities(n: int, field: FiniteField) -> tuple:
-    """Both inversion forms over every unit z, in one pass over the field:
+    """Both inversion forms over every unit z:
 
         plain:    z   * li_{n-1}(1/z) + (-1)^n li_{n-1}(z) = 0,
         twisted:  z^p * li_{n-1}(1/z) + (-1)^n li_{n-1}(z) = 0.
@@ -329,24 +365,30 @@ def inversion_identities(n: int, field: FiniteField) -> tuple:
     substituting j -> p-j in sum_j z^{p-j}/j^{n-1} makes the two terms cancel
     termwise, for any k.  The plain form is an identity on F_p, where z^p = z,
     but not on proper extensions.  Returns the (plain, twisted) reports;
-    counterexamples are reported, not raised.
+    counterexamples are reported, not raised, in integer-encoding order of z.
+
+    li_{n-1} is evaluated once per unit, along the walk g^i of
+    ``unit_powers``; the value at 1/g^i = g^{q-1-i} is read off the same walk.
     """
     if n < 2:
         raise ValueError("identity needs weight n >= 2")
     sign = -1 if n % 2 else 1
+    powers = unit_powers(field.p, field.k)
+    order = len(powers)
+    li = [li_finite(n - 1, FpkElement(field, c)) for c in powers]
+    index = {c: i for i, c in enumerate(powers)}
     plain, twisted = [], []
-    count = 0
     for z in field.units():
-        li_inv = li_finite(n - 1, z.inverse())
-        rhs = li_finite(n - 1, z) * sign
-        count += 1
+        i = index[z.coeffs]
+        li_inv = li[-i % order]
+        rhs = li[i] * sign
         for bad, factor in ((plain, z), (twisted, frobenius(z))):
             lhs = factor * li_inv
             if not (lhs + rhs).is_zero():
                 bad.append({"z": list(z.coeffs), "lhs": list(lhs.coeffs),
                             "rhs": list(rhs.coeffs)})
-    return (InversionReport(field.p, field.k, n, count, plain),
-            InversionReport(field.p, field.k, n, count, twisted))
+    return (InversionReport(field.p, field.k, n, order, plain),
+            InversionReport(field.p, field.k, n, order, twisted))
 
 
 def check_inversion_identity(n: int, field: FiniteField) -> InversionReport:

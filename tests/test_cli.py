@@ -152,6 +152,14 @@ def test_coeffs_rejects_small_prime(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n, p", [(3, 9), (2, 25), (3, 8), (3, 6), (2, 2), (2, 1)])
+def test_coeffs_rejects_a_modulus_that_is_not_an_odd_prime(capsys, n, p):
+    # a composite modulus once reduced mod 9 and mod 25 and exited 0
+    code, out, err = run(capsys, "coeffs", "--n", str(n), "--p", str(p))
+    assert (code, out) == (2, "")
+    assert f"p must be an odd prime, got {p}" in err
+
+
 def test_csv_projection_of_samples(capsys):
     code, out, _ = run(capsys, "verify", "proposition1", "--p", "5", "--n", "1",
                        "--samples", "3", "--seed", "1", "--format", "csv")
@@ -329,6 +337,8 @@ def test_env_overrides_apply_to_every_check_that_takes_them(capsys, monkeypatch,
     # identities with no coefficient system to check
     (("identities", "--nmax", "1"), "identities needs --nmax >= 2, got 1"),
     (("identities", "--nmax", "-3"), "identities needs --nmax >= 2, got -3"),
+    # inversion weights, as every other check rejects its weights
+    (("inversion", "--p", "5", "--ns", "2,1"), "inversion needs n >= 2, got n=1"),
 ])
 def test_invalid_configuration_exits_two(tmp_path, capsys, argv, message):
     argv = list(argv)

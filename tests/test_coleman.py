@@ -157,10 +157,18 @@ def test_corollary_reduction_exhaustive_small():
         assert report["pass"], (p, k, report["failures"])
 
 
-# poly_mul calls of a warm check_corollary(5, k=3, ns=(2,)): 8,984 with the
-# norm inverse, the linear Frobenius and ceil((A-1)/k)-step lifts, 18,834
+def test_corollary_on_f3_checks_its_one_residue():
+    # q - 1 = 2: the walk is 1, 2 and the only residue other than 0, 1 is 2
+    report = check_corollary(3, 1, ns=(1, 2))
+    assert report["pass"]
+    assert [(r["alphabar"], r["n"]) for r in report["perSample"]] == [([2], 1), ([2], 2)]
+
+
+# poly_mul calls of a warm check_corollary(5, k=3, ns=(2,)): 4,705 with the
+# lifts walked as powers of one lift and the orbit stepped by the Witt
+# Frobenius; 8,984 with a lift per residue and the orbit by x -> x^p, 18,834
 # with x^(q-2), sigma as a power and A-step lifts.  About 10% headroom.
-COROLLARY_POLY_MUL_BOUND = 9_900
+COROLLARY_POLY_MUL_BOUND = 5_200
 
 
 def test_corollary_ring_work_is_bounded(monkeypatch):

@@ -15,7 +15,9 @@ from polylogp.finite_poly import (
     li_finite,
     lowest_irreducible,
     sigma,
+    unit_powers,
 )
+from polylogp import finite_poly
 from polylogp.matrix import CHECKS
 
 PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -170,6 +172,33 @@ def test_sigma_is_not_the_frobenius_for_k_at_least_three(p, k):
     assert any(sigma(x) != frobenius(x) for x in field.elements())
 
 
+WALK_FIELDS = [(3, 1), (13, 1), (13, 2), (5, 3), (7, 3), (5, 4), (3, 5)]
+
+
+def _multiplicative_order(x):
+    """The order of a unit by repeated multiplication, the naive oracle."""
+    power, order = x, 1
+    while not power.is_one():
+        power, order = power * x, order + 1
+    return order
+
+
+@pytest.mark.parametrize("p, k", WALK_FIELDS)
+def test_unit_powers_walk_every_unit_once_from_one(p, k):
+    field = FiniteField(p, k)
+    q = field.order
+    powers = unit_powers(p, k)
+    assert powers[0] == field.one().coeffs
+    assert len(powers) == q - 1
+    assert set(powers) == {z.coeffs for z in field.units()}
+    # g = powers[1] is the least primitive root in integer-encoding order
+    g = field.element(powers[1])
+    assert _multiplicative_order(g) == q - 1
+    for t in range(1, next(t for t in range(q) if field.from_int(t) == g)):
+        assert _multiplicative_order(field.from_int(t)) < q - 1, t
+    assert unit_powers(p, k) is powers  # built once per field
+
+
 def test_sigma_fixes_zero_and_one():
     field = FiniteField(7, 2)
     assert sigma(field.zero()).is_zero()
@@ -238,6 +267,31 @@ def test_one_pass_inversion_matches_the_direct_loops(cell):
         assert check_inversion_identity_frobenius(n, field) == twisted
         if k == 1:  # z^p = z on F_p, so the two forms are one
             assert plain == twisted
+
+
+def test_inversion_ring_work_is_bounded(monkeypatch):
+    # one li_{n-1} per unit, and 1/z from the walk with no inversion; the
+    # counterexamples are those of the direct loops, in the same order
+    field = FiniteField(7, 3)
+    plain, twisted = inversion_identities(3, field)
+    assert plain.counterexamples == _inversion_loop(3, field, 1)[1]
+    assert twisted.counterexamples == _inversion_loop(3, field, 7)[1] == []
+    li_calls, inverse_calls = [], []
+    li, inverse = finite_poly.li_finite, finite_poly.poly_inverse
+
+    def counted_li(n, x):
+        li_calls.append(x)
+        return li(n, x)
+
+    def counted_inverse(a, h, p):
+        inverse_calls.append(a)
+        return inverse(a, h, p)
+
+    monkeypatch.setattr(finite_poly, "li_finite", counted_li)
+    monkeypatch.setattr(finite_poly, "poly_inverse", counted_inverse)
+    assert inversion_identities(3, field) == (plain, twisted)
+    assert len(li_calls) == field.order - 1
+    assert inverse_calls == []
 
 
 def test_one_pass_inversion_covers_the_full_matrix_fields():

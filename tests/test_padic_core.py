@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylogp import padic_core
-from polylogp.finite_poly import poly_pow
+from polylogp.finite_poly import frobenius, poly_pow, unit_powers
 from polylogp.padic_core import (
     PrecisionError,
     UnramifiedCtx,
@@ -18,8 +18,11 @@ from polylogp.padic_core import (
     padic_log,
     residue,
     teichmuller,
+    teichmuller_powers,
 )
 from polylogp.rng import SplitMix64
+
+from test_finite_poly import WALK_FIELDS
 
 
 # -- context construction ------------------------------------------------------
@@ -361,6 +364,57 @@ def test_teichmuller_takes_ceil_a_minus_one_over_k_steps(monkeypatch, p, k):
         calls.clear()
         teichmuller(UnramifiedCtx(p, k, A), a)
         assert calls == [p**k] * math.ceil((A - 1) / k), (A, len(calls))
+
+
+@pytest.mark.parametrize("p, k", WALK_FIELDS)
+def test_teichmuller_powers_are_the_lifts_of_the_walk(p, k):
+    field = UnramifiedCtx(p, k, 1).residue_field
+    units = [field.element(c) for c in unit_powers(p, k)]
+    for A in sorted({1, 2, k, k + 1, 9}):
+        ctx = UnramifiedCtx(p, k, A)
+        lifts = teichmuller_powers(ctx)
+        assert len(lifts) == len(units)
+        for a, t in zip(units, lifts):
+            assert t == teichmuller(ctx, a), (p, k, A, a)
+
+
+def _random_values(ctx, rng, count):
+    """Random units, non-units and short-precision values of ctx."""
+    out = []
+    for i in range(count):
+        vec = tuple(rng.below(ctx.pA) for _ in range(ctx.k))
+        out.append(ctx.make(i % 3, vec, ctx.A - i % 4))
+    return out
+
+
+@pytest.mark.parametrize("p, k", WALK_FIELDS)
+def test_witt_frobenius_is_the_p_power_map_on_roots_of_unity(p, k):
+    for A in sorted({1, 2, k + 1, 9}):
+        ctx = UnramifiedCtx(p, k, A)
+        for t in teichmuller_powers(ctx):
+            assert t.frobenius() == t**p, (p, k, A, t)
+
+
+@pytest.mark.parametrize("p, k", WALK_FIELDS)
+def test_witt_frobenius_is_a_ring_automorphism_of_order_k(p, k):
+    ctx = UnramifiedCtx(p, k, 9)
+    rng = SplitMix64(31 * p + k)
+    values = _random_values(ctx, rng, 40)
+    for x, y in zip(values, values[1:]):
+        assert (x * y).frobenius() == x.frobenius() * y.frobenius(), (x, y)
+        assert (x + y).frobenius() == x.frobenius() + y.frobenius(), (x, y)
+    for x in values:
+        fx = x.frobenius()
+        assert (fx.scale, fx.prec) == (x.scale, x.prec)
+        if x.scale == 0:
+            assert residue(fx) == frobenius(residue(x))
+        for _ in range(k - 1):
+            fx = fx.frobenius()
+        assert fx == x, x  # phi^k = id
+    for c in (1, -1, p, 2 * p + 1, 1 - p**3):
+        assert ctx.from_int(c).frobenius() == ctx.from_int(c)  # phi fixes Z_p
+    for z in (ctx.exact_zero(), ctx.zero_approx(4)):
+        assert z.frobenius() == z
 
 
 def test_teichmuller_frozen_example():

@@ -74,22 +74,31 @@ def test_every_small_matrix_record_is_numbered_and_judged():
 EDGES = ({"A": 1}, {"A": 3}, {"A": 30}, {"m": 1}, {"M": 1}, {"M": 2})
 
 
+def _degrees(name, p):
+    # inversion takes no edge knob and is cheap on every field; the corollary
+    # sweeps all of F_{p^3}^*, so it runs at k = 3 on F_27 and F_125 only
+    if name == "inversion" or (name == "corollary" and p < 7):
+        return (1, 2, 3)
+    return (1, 2)
+
+
 def _sweep_calls():
-    """Every check but identities and inversion, p in {3,5,7}, n <= 3,
-    k <= 2, with one edge value at a time among the knobs the check takes."""
+    """Every check but identities, p in {3,5,7}, n <= 3, k <= 2 (k <= 3 by
+    ``_degrees``), with one edge value at a time among the knobs the check
+    takes; a check that takes none runs its plain cells."""
     for name, spec in CHECKS.items():
-        if name in ("identities", "inversion"):
+        if name == "identities":
             continue
+        edges = [edge for edge in EDGES if set(edge) <= set(spec.knobs)] or [{}]
         for p in (3, 5, 7):
             for n in range(4):
-                for k in (1, 2):
+                for k in _degrees(name, p):
                     cell = {"p": p, "k": k, **({"ns": (n,)} if "ns" in spec.knobs
                                                 else {"n": n})}
                     cell.update((knob, 2) for knob in ("samples", "count")
                                 if knob in spec.knobs)
-                    for edge in EDGES:
-                        if set(edge) <= set(spec.knobs):
-                            yield spec, {**cell, **edge}
+                    for edge in edges:
+                        yield spec, {**cell, **edge}
 
 
 def test_bounded_sweep_reports_or_rejects_every_edge_cell():
@@ -104,7 +113,14 @@ def test_bounded_sweep_reports_or_rejects_every_edge_cell():
                 rejected += 1
                 continue
             failing = [r for r in report["perSample"] if not r["pass"]]
+            if spec.name == "inversion":
+                # the plain form is false on proper extensions by design
+                # (README, "Known caveat"); the twisted form holds everywhere
+                assert all(r["frobeniusFormOk"] for r in report["perSample"]), kwargs
+                if kwargs["k"] > 1:
+                    assert all(r["counterexampleCount"] for r in failing), kwargs
+                    continue
             assert all("precisionShortfall" in r for r in failing), (spec.name, kwargs)
             if not report["pass"] and not failing:
                 assert "precisionShortfall" in report, (spec.name, kwargs)
-    assert calls == 1080 and 0 < rejected < calls
+    assert calls == 1148 and 0 < rejected < calls
