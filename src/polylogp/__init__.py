@@ -3,10 +3,10 @@
 The package has two arithmetic layers and a verification layer on top:
 
 * ``finite_poly``  -- F_{p^k} in a polynomial basis, finite polylogarithms and
-  both inversion identities in one pass over the field.  Its ``poly_mul`` and
-  ``poly_pow`` are the one ring kernel of both layers: (Z/p^r)[x]/(hbar),
-  at r = 1 for F_{p^k} and at r <= A for W(F_{p^k}) mod p^r.  Frobenius
-  powers are a cached F_p-linear map, and inverses go through the norm.
+  both inversion identities in one pass over the field.  Its ring kernel
+  (products, powers, the Witt Frobenius as a cached linear map, and unit
+  inverses by the norm, Newton-lifted) serves both layers on
+  (Z/p^r)[x]/(hbar): at r = 1 for F_{p^k} and at r <= A for W(F_{p^k}).
 * ``padic_core``   -- Z_p / W(F_{p^k}) mod p^A with certified precision,
   Teichmuller lifts and the p-adic logarithm on 1 + pW.
 * ``power_series`` -- truncated series over the p-adic layer with certified

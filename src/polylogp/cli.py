@@ -40,7 +40,7 @@ KNOBS = {
         "type": int, "help": "working digits A (default n+4; env POLYLOGP_PRECISION)"}),
     "m": (("--riemann-m",), {
         "type": int, "metavar": "m",
-        "help": "measure modulus m (default n+2; env POLYLOGP_RIEMANN_M)"}),
+        "help": "measure modulus m (default n+2; corollary 2; env POLYLOGP_RIEMANN_M)"}),
     "M": (("--order", "-M"), {"type": int, "help": "series truncation order override"}),
     "samples": (("--samples",), {"type": int, "help": "sampled points (default 20)"}),
     "seed": (("--seed",), {"type": int, "help": "sampling seed (default: the replayed "

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finite_poly import FpkElement, frobenius, li_finite, poly_mul, sigma, unit_powers
+from .finite_poly import FpkElement, frobenius, li_finite, poly_inverse, poly_mul, sigma, unit_powers
 from .identities import a_coeffs
 from .padic_core import (
     UnramifiedCtx,
@@ -194,7 +194,7 @@ class PolylogEvaluator:
             y_s = poly_mul(term, y_s, h, pA)
         z_top = y_s  # y^T = z^{p^m}
         one_minus_top = ((1 - z_top[0]) % pA,) + tuple(-c % pA for c in z_top[1:])
-        inv_cell = ctx.vec_inv(one_minus_top, ctx.A)
+        inv_cell = poly_inverse(one_minus_top, h, p, ctx.A)
         # (1 - y) G_0 = 1 - y^T
         inv_one_minus_y = poly_mul(g0, inv_cell, h, pA)
         T = p ** (m - 1)

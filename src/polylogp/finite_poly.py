@@ -2,13 +2,15 @@
 
 Elements are coefficient vectors modulo a deterministically chosen monic
 irreducible ``hbar`` of degree k over F_p, so that runs are reproducible.
-``poly_mul`` and ``poly_pow`` are the one ring kernel of the package: they
+The four ring functions below are the one ring kernel of the package.  They
 work in (Z/p^r)[x]/(hbar), which is F_{p^k} at r = 1 and W(F_{p^k}) mod p^r
-in the unramified p-adic layer.  Two residue-field kernels use the algebra
-of F_{p^k} itself: ``poly_frobenius`` applies y -> y^{p^e} as a cached
-F_p-linear map, and ``poly_inverse`` inverts by the norm.  ``unit_powers``
-lists the cyclic group F_{p^k}^* as the powers of one primitive root, so an
-exhaustive sweep can walk it and read 1/z = g^{-i} off the walk.
+in the unramified p-adic layer, and every caller names its r.  ``poly_mul``
+and ``poly_pow`` multiply; ``poly_frobenius`` applies a power of the Witt
+Frobenius phi, which is y -> y^{p^e} at r = 1, as a cached linear map; and
+``poly_inverse`` inverts a unit by the norm mod p, Newton-lifted to p^r.
+``unit_powers`` lists the cyclic group F_{p^k}^* as the powers of one
+primitive root, so an exhaustive sweep can walk it and read 1/z = g^{-i} off
+the walk.
 """
 
 from __future__ import annotations
@@ -56,42 +58,78 @@ def poly_pow(a: tuple, e: int, h: tuple, pm: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _frobenius_columns(h: tuple, p: int, e: int) -> tuple:
-    """Columns of the F_p-matrix of y -> y^{p^e} on F_p[x]/(h), basis 1, ..., x^{k-1}.
+def _frobenius_columns(h: tuple, p: int, r: int, e: int) -> tuple:
+    """Columns of the matrix of phi^e on (Z/p^r)[x]/(h), basis 1, ..., x^{k-1},
+    for the Witt Frobenius phi; row i is phi^e(x)^i.
 
-    Row i of the matrix is x^{i p^e} mod h; column j lists the x^j
-    coefficients of the k rows.
+    phi^e(x) is the root of h congruent to x^{p^e} mod p: h has coefficients
+    in Z_p, so phi^e(h(x)) = h(phi^e(x)) = 0, and h(x^{p^e}) = h(x)^{p^e} = 0
+    mod p.  The root is simple, since h'(x^{p^e}) = h'(x)^{p^e} is a unit (h
+    is separable mod p), so it is unique and Newton finds it from x^{p^e}:
+    with y = root + d and v_p(d) >= j, h(y) = h'(y) d + O(d^2), so
+    y - h(y)/h'(y) = root mod p^{2j}.  At r = 1 no step is taken and the map
+    is y -> y^{p^e} on F_{p^k}.
+
+    The key is the precision r of the value the map is applied to.  Reduction
+    mod p^s is a ring map, so the root mod p^s is the reduction of the root
+    mod p^r for s <= r, and the columns at r = s are those at r reduced.
     """
     k = len(h) - 1
+    pm = p**r
     rows = [(1,) + (0,) * (k - 1)]
     if k > 1:
-        xe = poly_pow((0, 1) + (0,) * (k - 2), p**e, h, p)
+        y = poly_pow((0, 1) + (0,) * (k - 2), p**e, h, pm)
+        digits = 1
+        while digits < r:
+            pows = [rows[0], y]
+            for _ in range(k - 1):
+                pows.append(poly_mul(pows[-1], y, h, pm))
+            hy = [sum(h[i] * pows[i][j] for i in range(k + 1)) for j in range(k)]
+            dhy = [sum(i * h[i] * pows[i - 1][j] for i in range(1, k + 1))
+                   for j in range(k)]
+            step = poly_mul(tuple(hy), poly_inverse(tuple(dhy), h, p, r), h, pm)
+            y = tuple([(a - b) % pm for a, b in zip(y, step)])
+            digits *= 2
         for _ in range(k - 1):
-            rows.append(poly_mul(rows[-1], xe, h, p))
+            rows.append(poly_mul(rows[-1], y, h, pm))
     return tuple(zip(*rows))
 
 
-def poly_frobenius(a: tuple, e: int, h: tuple, p: int) -> tuple:
-    """a^{p^e} in F_{p^k} = F_p[x]/(h), h irreducible of degree k, for e >= 0.
+def poly_frobenius(a: tuple, e: int, h: tuple, p: int, r: int) -> tuple:
+    """phi^e(a) in (Z/p^r)[x]/(h), h monic of degree k irreducible mod p, for
+    e >= 0; at r = 1 this is a^{p^e} in F_{p^k}.
 
-    Frobenius is F_p-linear, so this applies the images of the basis,
-    computed once per (h, p, e mod k): O(k^2) per call.
+    phi is Z/p^r-linear and phi^k = 1, so this applies the images of the
+    basis, computed once per (h, p, r, e mod k): O(k^2) per call.
     """
-    cols = _frobenius_columns(h, p, e % (len(h) - 1))
-    return tuple([sum(map(mul, a, col)) % p for col in cols])
+    cols = _frobenius_columns(h, p, r, e % (len(h) - 1))
+    pm = p**r
+    return tuple([sum(map(mul, a, col)) % pm for col in cols])
 
 
-def poly_inverse(a: tuple, h: tuple, p: int) -> tuple:
-    """1/a in F_{p^k} = F_p[x]/(h) by the norm (Itoh-Tsujii), for a != 0.
+def poly_inverse(a: tuple, h: tuple, p: int, r: int) -> tuple:
+    """1/a in (Z/p^r)[x]/(h), h monic of degree k irreducible mod p, for a
+    unit a; raises ZeroDivisionError when a is 0 mod p.
 
-    With r = prod_{e=1}^{k-1} a^{p^e}, the norm N(a) = a * r lies in F_p^*,
-    so 1/a = r / N(a): k-1 linear maps, k multiplies and one inverse mod p.
+    Mod p it is the norm inverse (Itoh-Tsujii): with c = prod_{e=1}^{k-1}
+    a^{p^e}, the norm N(a) = a * c lies in F_p^*, so 1/a = c / N(a).  Newton
+    lifts it: if a x = 1 - d, then a x (2 - a x) = 1 - d^2, so each step
+    doubles the correct digits.
     """
-    r = (1,) + (0,) * (len(h) - 2)
+    abar = tuple([c % p for c in a])
+    if not any(abar):
+        raise ZeroDivisionError("inverse of a vector that is 0 mod p")
+    c = (1,) + (0,) * (len(h) - 2)
     for e in range(1, len(h) - 1):
-        r = poly_mul(r, poly_frobenius(a, e, h, p), h, p)
-    n_inv = pow(poly_mul(a, r, h, p)[0], -1, p)
-    return tuple([c * n_inv % p for c in r])
+        c = poly_mul(c, poly_frobenius(abar, e, h, p, 1), h, p)
+    n_inv = pow(poly_mul(abar, c, h, p)[0], -1, p)
+    x = tuple([v * n_inv % p for v in c])
+    pm, digits = p**r, 1
+    while digits < r:
+        ax = poly_mul(a, x, h, pm)
+        x = poly_mul(x, ((2 - ax[0]) % pm, *[-v % pm for v in ax[1:]]), h, pm)
+        digits *= 2
+    return x
 
 
 def check_odd_prime(p: int) -> None:
@@ -267,10 +305,8 @@ class FpkElement:
         )
 
     def inverse(self) -> "FpkElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of 0 in a finite field")
         return FpkElement(
-            self.field, poly_inverse(self.coeffs, self.field.hbar, self.field.p)
+            self.field, poly_inverse(self.coeffs, self.field.hbar, self.field.p, 1)
         )
 
     def is_zero(self) -> bool:
@@ -334,7 +370,7 @@ def li_finite(n: int, x: FpkElement) -> FpkElement:
 def frobenius(x: FpkElement, e: int = 1) -> FpkElement:
     """Frobenius power on F_{p^k}: x -> x^{p^e}, a cached F_p-linear map."""
     field = x.field
-    return FpkElement(field, poly_frobenius(x.coeffs, e, field.hbar, field.p))
+    return FpkElement(field, poly_frobenius(x.coeffs, e, field.hbar, field.p, 1))
 
 
 def sigma(x: FpkElement) -> FpkElement:

@@ -20,14 +20,12 @@ memoizes 1/c per nonzero integer c (``inv_int``), so the divisions of series
 integration, of the logarithm and of rational weights cost one Newton lift
 per integer and context.
 
-The unit vectors are multiplied and powered by ``finite_poly.poly_mul`` and
-``poly_pow`` modulo p^r: the residue field F_{p^k} uses the same kernel with
-r = 1, so the two layers share one implementation of the ring.  A unit
-inverse starts from the residue-field inverse by the norm
-(``finite_poly.poly_inverse``) and is Newton-lifted to p^r.  The Witt
-Frobenius is a cached Z/p^A-linear map, the twin of
-``finite_poly.poly_frobenius``, and ``teichmuller_powers`` lifts the whole
-unit group from one Teichmuller lift of a primitive root.
+A unit vector mod p^r is multiplied, powered, inverted and mapped by the
+Witt Frobenius in the ring kernel of ``finite_poly`` (``poly_mul``,
+``poly_pow``, ``poly_inverse``, ``poly_frobenius``), called with the value's
+own r; the residue field F_{p^k} is the same kernel at r = 1, so the two
+layers share one implementation of the ring.  ``teichmuller_powers`` lifts
+the whole unit group from one Teichmuller lift of a primitive root.
 """
 
 from __future__ import annotations
@@ -36,11 +34,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .finite_poly import (
     FiniteField,
     FpkElement,
+    poly_frobenius,
     poly_inverse,
     poly_mul,
     poly_pow,
@@ -61,24 +59,6 @@ def int_val(c: int, p: int) -> int:
         c //= p
         v += 1
     return v
-
-
-def unit_inverse(a: tuple, h: tuple, p: int, r: int) -> tuple:
-    """Inverse of a unit vector mod (p^r, h): residue-field inverse by the
-    norm (``poly_inverse``), Newton-lifted."""
-    pm = p**r
-    abar = tuple([c % p for c in a])
-    if not any(abar):
-        raise ZeroDivisionError("inverse of a vector that is 0 mod p")
-    x = poly_inverse(abar, h, p)
-    # x_{i+1} = x_i (2 - a x_i) doubles the number of correct digits
-    prec = 1
-    while prec < r:
-        ax = poly_mul(a, x, h, pm)
-        two_minus = ((2 - ax[0]) % pm, *[-c % pm for c in ax[1:]])
-        x = poly_mul(x, two_minus, h, pm)
-        prec *= 2
-    return x
 
 
 class UnramifiedCtx:
@@ -118,10 +98,6 @@ class UnramifiedCtx:
     def vec_mul(self, a: tuple, b: tuple, pm: int) -> tuple:
         """a * b mod (p^r, hbar) for pm = p^r; the unit-cost benchmark times it."""
         return poly_mul(a, b, self.hbar, pm)
-
-    def vec_inv(self, a: tuple, r: int) -> tuple:
-        """Inverse of a unit vector mod p^r (``unit_inverse``)."""
-        return unit_inverse(a, self.hbar, self.p, r)
 
     # -- constructors -------------------------------------------------------
 
@@ -305,7 +281,7 @@ class WittApprox:
                 f"cannot invert: value indistinguishable from zero, O(p^{self.scale})"
             )
         ctx = self.ctx
-        vec = ctx.vec_inv(self.coeffs, self.prec)
+        vec = poly_inverse(self.coeffs, ctx.hbar, ctx.p, self.prec)
         return WittApprox(ctx, -self.scale, vec, self.prec, False)
 
     def __truediv__(self, other: "WittApprox") -> "WittApprox":
@@ -331,17 +307,17 @@ class WittApprox:
         W(F_{p^k}) that lifts y -> y^p.
 
         phi fixes Z_p, so phi(p^s u) = p^s phi(u), and phi(u) mod p^prec
-        depends only on u mod p^prec.  At a root of unity alpha, phi(alpha)
-        and alpha^p are both roots of unity congruent to alphabar^p mod p;
-        reduction mod p is injective on the roots of unity of order prime to
-        p, so phi(alpha) = alpha^p.  Cost O(k^2) per call.
+        depends only on u mod p^prec: it is ``finite_poly.poly_frobenius`` at
+        r = prec, the kernel that is y -> y^p on F_{p^k} at r = 1.  At a root
+        of unity alpha, phi(alpha) and alpha^p are both roots of unity
+        congruent to alphabar^p mod p; reduction mod p is injective on the
+        roots of unity of order prime to p, so phi(alpha) = alpha^p.  Cost
+        O(k^2) per call.
         """
         if self.exact or self.prec == 0:
             return self
         ctx = self.ctx
-        pm = ctx.p**self.prec
-        cols = _witt_frobenius_columns(ctx.hbar, ctx.p, ctx.A)
-        vec = tuple([sum(map(mul, self.coeffs, col)) % pm for col in cols])
+        vec = poly_frobenius(self.coeffs, 1, ctx.hbar, ctx.p, self.prec)
         return WittApprox(ctx, self.scale, vec, self.prec, False)
 
     def shift(self, j: int) -> "WittApprox":
@@ -441,41 +417,6 @@ def teichmuller_powers(ctx: UnramifiedCtx) -> list:
     for _ in range(ctx.p**ctx.k - 2):
         vecs.append(poly_mul(vecs[-1], g.coeffs, ctx.hbar, ctx.pA))
     return [WittApprox(ctx, 0, vec, ctx.A, False) for vec in vecs]
-
-
-@lru_cache(maxsize=None)
-def _witt_frobenius_columns(h: tuple, p: int, A: int) -> tuple:
-    """Columns of the Z/p^A-matrix of the Witt Frobenius phi on
-    (Z/p^A)[x]/(h), basis 1, ..., x^{k-1}; row i is phi(x)^i.
-
-    phi(x) is the root of h congruent to x^p mod p: h has coefficients in Z_p,
-    so phi(h(x)) = h(phi(x)) = 0, and h(x^p) = h(x)^p = 0 mod p.  The root is
-    simple, since h'(x^p) = h'(x)^p is a unit (h is separable mod p), so it is
-    unique and Newton finds it: with y = root + d and v_p(d) >= e,
-    h(y) = h'(y) d + O(d^2), so y - h(y)/h'(y) = root mod p^{2e}.
-    """
-    k = len(h) - 1
-    pm = p**A
-    rows = [(1,) + (0,) * (k - 1)]
-    if k > 1:
-        dh = [i * c for i, c in enumerate(h)][1:]
-
-        def horner(coeffs: list, y: tuple) -> tuple:
-            acc = (coeffs[-1] % pm,) + (0,) * (k - 1)
-            for c in reversed(coeffs[:-1]):
-                acc = poly_mul(acc, y, h, pm)
-                acc = ((acc[0] + c) % pm, *acc[1:])
-            return acc
-
-        y = poly_pow((0, 1) + (0,) * (k - 2), p, h, pm)
-        e = 1
-        while e < A:
-            step = poly_mul(horner(h, y), unit_inverse(horner(dh, y), h, p, A), h, pm)
-            y = tuple([(a - b) % pm for a, b in zip(y, step)])
-            e *= 2
-        for _ in range(k - 1):
-            rows.append(poly_mul(rows[-1], y, h, pm))
-    return tuple(zip(*rows))
 
 
 @lru_cache(maxsize=None)

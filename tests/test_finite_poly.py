@@ -14,11 +14,15 @@ from polylogp.finite_poly import (
     is_irreducible,
     li_finite,
     lowest_irreducible,
+    poly_frobenius,
+    poly_inverse,
+    poly_pow,
     sigma,
     unit_powers,
 )
 from polylogp import finite_poly
 from polylogp.matrix import CHECKS
+from polylogp.rng import SplitMix64
 
 PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -172,6 +176,32 @@ def test_sigma_is_not_the_frobenius_for_k_at_least_three(p, k):
     assert any(sigma(x) != frobenius(x) for x in field.elements())
 
 
+@pytest.mark.parametrize("p, k", [(13, 2), (7, 3), (5, 4), (3, 5)])
+def test_one_frobenius_and_one_inverse_at_every_precision(p, k):
+    # phi^e mod p^r is the p^e-th power at r = 1, reduces to phi^e mod p^s
+    # for every s < r (the columns are cached per r), and is phi applied
+    # e times; a vector that is 0 mod p has no inverse at any r
+    h = lowest_irreducible(p, k)
+    rng = SplitMix64(31 * p + k)
+    vecs = [tuple(rng.below(p**9) for _ in range(k)) for _ in range(4)]
+    for r in (1, 2, 5, 9):
+        for a in vecs:
+            a = tuple(c % p**r for c in a)
+            iterated = a
+            for e in range(2 * k + 1):
+                got = poly_frobenius(a, e, h, p, r)
+                assert got == iterated, (r, e, a)
+                for s in range(1, r):
+                    reduced = tuple(c % p**s for c in a)
+                    assert tuple(c % p**s for c in got) == poly_frobenius(reduced, e, h, p, s)
+                if r == 1:
+                    assert got == poly_pow(a, p**e, h, p), (e, a)
+                iterated = poly_frobenius(iterated, 1, h, p, r)
+        for zero in ((0,) * k, tuple(p * c % p**r for c in vecs[0])):
+            with pytest.raises(ZeroDivisionError):
+                poly_inverse(zero, h, p, r)
+
+
 WALK_FIELDS = [(3, 1), (13, 1), (13, 2), (5, 3), (7, 3), (5, 4), (3, 5)]
 
 
@@ -283,9 +313,9 @@ def test_inversion_ring_work_is_bounded(monkeypatch):
         li_calls.append(x)
         return li(n, x)
 
-    def counted_inverse(a, h, p):
+    def counted_inverse(a, h, p, r):
         inverse_calls.append(a)
-        return inverse(a, h, p)
+        return inverse(a, h, p, r)
 
     monkeypatch.setattr(finite_poly, "li_finite", counted_li)
     monkeypatch.setattr(finite_poly, "poly_inverse", counted_inverse)

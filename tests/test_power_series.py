@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polylogp import coleman, padic_core
 from polylogp.coleman import PolylogEvaluator, default_series_order
+from polylogp.finite_poly import poly_inverse
 from polylogp.padic_core import PrecisionError, UnramifiedCtx
 from polylogp.power_series import TailBound, TruncSeries
 from polylogp.rng import SplitMix64
@@ -195,15 +197,16 @@ def test_integrate_matches_the_division_path(p, k):
         _assert_identical(_integrate(s), TruncSeries(ctx, "w", old.coeffs[:-1], old.tail))
 
 
-def _count_vec_inv(monkeypatch) -> list:
+def _count_poly_inverse(monkeypatch) -> list:
+    """Record r for each unit inverse of ``WittApprox.inv`` and the measure sum."""
     calls = []
-    vec_inv = UnramifiedCtx.vec_inv
 
-    def counted(self, a, r):
+    def counted(a, h, p, r):
         calls.append(r)
-        return vec_inv(self, a, r)
+        return poly_inverse(a, h, p, r)
 
-    monkeypatch.setattr(UnramifiedCtx, "vec_inv", counted)
+    for module in (padic_core, coleman):
+        monkeypatch.setattr(module, "poly_inverse", counted)
     return calls
 
 
@@ -240,7 +243,7 @@ def test_series_builds_invert_each_integer_once_per_context(monkeypatch, p, k):
     M = default_series_order(p, n, A)
     ev = PolylogEvaluator(ctx, 3, max_weight=n, series_order=M)
     alpha = ev.teich(ctx.residue_field.from_int(3))
-    calls = _count_vec_inv(monkeypatch)
+    calls = _count_poly_inverse(monkeypatch)
     for j in range(n + 1):
         ev.g_series(alpha, j)
     assert M <= len(calls) <= M + 3 * (n + 1)
