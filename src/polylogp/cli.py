@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import matrix
@@ -37,22 +36,19 @@ KNOBS = {
     "nmax": (("--nmax",), {"type": int, "help": "largest weight (default 12)"}),
     "count": (("--count",), {"type": int, "help": "residues to check (default 5)"}),
     "A": (("--precision", "-A"), {
-        "type": int, "help": "working digits A (default n+4; env POLYLOGP_PRECISION)"}),
+        "type": int, "help": "working digits A (default n+4)"}),
     "m": (("--riemann-m",), {
         "type": int, "metavar": "m",
-        "help": "measure modulus m (default n+2; corollary 2; env POLYLOGP_RIEMANN_M)"}),
+        "help": "measure modulus m (default n+2; corollary 2)"}),
     "M": (("--order", "-M"), {"type": int, "help": "series truncation order override"}),
     "samples": (("--samples",), {"type": int, "help": "sampled points (default 20)"}),
     "seed": (("--seed",), {"type": int, "help": "sampling seed (default: the replayed "
                            f"seed, else {matrix.DEFAULT_SEED})"}),
-    "jobs": (("--jobs",), {"type": int,
-                           "help": "threads for the per-sample fan-out (>= 1)"}),
     "points": (("--replay",), {"metavar": "FILE",
                                "help": "JSON report or sample record to re-execute"}),
     "trace": (("--trace",), {"action": "store_true", "default": None,
                              "help": "dump series diagnostics to stderr"}),
 }
-ENV = {"A": "POLYLOGP_PRECISION", "m": "POLYLOGP_RIEMANN_M"}
 DEFAULTS = {"samples": 20, "seed": matrix.DEFAULT_SEED}
 REQUIRED = ("p", "n")
 
@@ -78,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--matrix", choices=("small", "full"), default="small")
     sub.add_argument("--seed", type=int, default=matrix.DEFAULT_SEED,
                      help=f"sampling seed (default {matrix.DEFAULT_SEED})")
-    sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.set_defaults(handler=_run_all)
 
@@ -119,21 +114,19 @@ def _print_trace(info: dict) -> None:
     print(json.dumps(info, sort_keys=True), file=sys.stderr)
 
 
-def _env(knob: str):
-    raw = os.environ.get(ENV.get(knob, ""))
-    return int(raw) if raw else None
-
-
 def _run_check(spec, args) -> dict:
     """Each knob of the check: its flag, else the replayed report's value,
-    else its environment override, else its default, else the driver's."""
+    else its default, else the driver's.  A replay runs exactly its records,
+    so it takes no --samples."""
     replayed = {}
     if getattr(args, "points", None) is not None:
+        if args.samples is not None:
+            raise ConfigError("--samples cannot be combined with --replay, "
+                              "which runs the replayed records")
         replayed, args.points = _load_replay(args.points)
     kwargs = {}
     for knob in spec.knobs:
-        for value in (getattr(args, knob), replayed.get(knob), _env(knob),
-                      DEFAULTS.get(knob)):
+        for value in (getattr(args, knob), replayed.get(knob), DEFAULTS.get(knob)):
             if value is not None:
                 kwargs[knob] = value
                 break
@@ -149,8 +142,7 @@ def _run_all(args) -> dict:
     progress = None
     if args.format == "text":
         progress = lambda rep: print(report_mod.text_summary(rep))  # noqa: E731
-    return matrix.run_matrix(args.matrix, seed=args.seed, jobs=args.jobs,
-                             progress=progress)
+    return matrix.run_matrix(args.matrix, seed=args.seed, progress=progress)
 
 
 def _finite_table(args) -> dict:

@@ -546,11 +546,13 @@ def check_maincong(
         return {"lhsResidue": list(lhs.coeffs), "rhsResidue": list(rhs.coeffs),
                 "pass": lhs == rhs}
 
-    # M is not in the params, so a replay falls back to the default order
-    # (ROADMAP item 1)
+    # an explicit order is recorded so that a replay keeps it; the default
+    # order follows from p, n and A
+    params = {"p": p, "n": n, "k": k, "A": A, "m": m}
+    if M is not None:
+        params["M"] = M
     return report_mod.sampled_report(
-        "maincong", {"p": p, "n": n, "k": k, "A": A, "m": m}, ctx, measure,
-        samples, seed, jobs, points,
+        "maincong", params, ctx, measure, samples, seed, jobs, points,
     )
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 from .finite_poly import FpkElement
 from .padic_core import PrecisionError, UnramifiedCtx, WittApprox
@@ -39,25 +38,20 @@ def check_order(command: str, M: int | None) -> None:
         raise ConfigError(f"{command} needs a series order M >= 1, got M={M}")
 
 
-def records(items, measure, jobs: int = 1) -> list:
+def records(items, measure) -> list:
     """The one record loop: record i is ``{"index": i, **fields}`` plus the
     fields that ``measure(*args)`` returns, for the i-th ``(fields, args)``
     item; a PrecisionError becomes a failing ``precisionShortfall`` record."""
-
-    def one(numbered: tuple) -> dict:
-        i, (fields, args) = numbered
+    out = []
+    for i, (fields, args) in enumerate(items):
         rec = {"index": i, **fields}
         try:
             rec.update(measure(*args))
         except PrecisionError as e:
             rec["precisionShortfall"] = str(e)
             rec["pass"] = False
-        return rec
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, enumerate(items)))
-    return [one(item) for item in enumerate(items)]
+        out.append(rec)
+    return out
 
 
 def assemble(command: str, params: dict, ctx: UnramifiedCtx | None, records: list,
@@ -145,13 +139,14 @@ def sampled_report(command: str, params: dict, ctx: UnramifiedCtx, measure,
     and its ``pass``, under the guard of ``records``.  ``finish(records,
     rng)``, if given, returns report-level fields whose ``pass`` joins the
     records' verdict; a PrecisionError there too becomes a report-level
-    ``precisionShortfall``.
+    ``precisionShortfall``.  The records are measured serially, so ``jobs``
+    must be 1.
     """
     count = len(points) if points is not None else samples
     if count < 1:
         raise ConfigError(f"{command} needs at least one sample, got {count}")
-    if jobs < 1:
-        raise ConfigError(f"{command} needs --jobs >= 1, got {jobs}")
+    if jobs != 1:
+        raise ConfigError(f"{command} runs serially: jobs must be 1, got {jobs}")
     rng = SplitMix64(seed)
     names = ("wz", "w") if with_wz else ("w",)
     if points is None:
@@ -162,7 +157,7 @@ def sampled_report(command: str, params: dict, ctx: UnramifiedCtx, measure,
     items = [({"zbar": list(zbar.coeffs),
                **{name: w.to_record() for name, w in zip(names, ws)}}, (zbar, *ws))
              for zbar, *ws in drawn]
-    recs = records(items, measure, jobs)
+    recs = records(items, measure)
     extra = None
     if finish is not None:
         try:

@@ -48,7 +48,9 @@ class SplitMix64:
         """Independent substream for sample ``index``.
 
         Derived from the original seed, not the current state, so substreams
-        do not depend on draw order (needed for --jobs parallel sampling).
+        do not depend on draw order: sample i is a function of the seed and i
+        alone, whatever the other samples drew, and so is the theorem's
+        w-independence pair, which takes the forks past the last sample.
         """
         child = SplitMix64(self._seed ^ ((0xD6E8FEB86659FD93 * (index + 1)) & _MASK))
         child.next_u64()

@@ -1,4 +1,4 @@
-"""Exit codes, output formats, determinism, replay, env overrides."""
+"""Exit codes, output formats, determinism, replay, flag precedence."""
 
 import hashlib
 import inspect
@@ -175,23 +175,6 @@ def test_small_matrix_passes(capsys):
     assert "-> PASS" in out
 
 
-def test_env_var_precision_override(capsys, monkeypatch):
-    monkeypatch.setenv("POLYLOGP_PRECISION", "9")
-    code, out, _ = run(capsys, "verify", "maincong", "--p", "5", "--n", "2",
-                       "--samples", "2", "--seed", "1", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["params"]["A"] == 9
-
-
-def test_jobs_flag_keeps_canonical_order_and_results(capsys):
-    argv_base = ["verify", "theorem", "--p", "7", "--n", "2", "--samples", "6",
-                 "--seed", "11", "--format", "json"]
-    code1, out1, _ = run(capsys, *argv_base)
-    code2, out2, _ = run(capsys, *argv_base, "--jobs", "4")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_trace_emits_series_diagnostics(capsys):
     code, _, err = run(capsys, "verify", "theorem", "--p", "5", "--n", "2",
                        "--samples", "2", "--seed", "2", "--trace")
@@ -260,37 +243,23 @@ def _base_argv(spec) -> list:
 def _flag_cases():
     cases = [("funceq", "--order", "2"), ("e-recover", "--order", "2"),
              ("proposition1", "--order", "2"), ("f-lemmas", "--riemann-m", "3"),
-             ("g-valuation", "--samples", "3"), ("g-valuation", "--jobs", "2"),
+             ("g-valuation", "--samples", "3"),
              ("g-valuation", "--replay", "/nonexistent")]
     cases += [(name, "--trace") for name in CHECKS if name != "theorem"]
+    # every check, and the matrix, runs serially
+    cases += [(name, "--jobs", "2") for name in (*CHECKS, "all")]
     return cases
 
 
 @pytest.mark.parametrize("case", _flag_cases(), ids=" ".join)
 def test_flag_a_check_does_not_take_exits_two(capsys, case):
     name, *flag = case
+    argv = _base_argv(CHECKS[name]) if name in CHECKS else ["verify", name]
     with pytest.raises(SystemExit) as exc:
-        main(_base_argv(CHECKS[name]) + flag)
+        main(argv + flag)
     assert exc.value.code == 2
     assert capsys.readouterr().err.rstrip().endswith(
         "unrecognized arguments: " + " ".join(flag))
-
-
-@pytest.mark.parametrize("knob, env", [("A", "POLYLOGP_PRECISION"),
-                                       ("m", "POLYLOGP_RIEMANN_M")])
-@pytest.mark.parametrize("name", list(CHECKS))
-def test_env_overrides_apply_to_every_check_that_takes_them(capsys, monkeypatch,
-                                                            name, knob, env):
-    # a check that does not take the knob runs as if the variable were unset
-    spec = CHECKS[name]
-    monkeypatch.setenv(env, "9" if knob == "A" else "5")
-    code, out, _ = run(capsys, *_base_argv(spec), "--format", "json")
-    assert code == 0
-    params = json.loads(out)["params"]
-    if knob in spec.knobs:
-        assert params[knob] == (9 if knob == "A" else 5)
-    else:
-        assert params.get(knob) != (9 if knob == "A" else 5)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -300,11 +269,14 @@ def test_env_overrides_apply_to_every_check_that_takes_them(capsys, monkeypatch,
     (("f-lemmas", "--p", "7", "--n", "-1"), "f-lemmas needs n >= 0"),
     (("theorem", "--p", "5", "--n", "1"), "theorem needs n >= 2"),
     (("maincong", "--replay", "/nonexistent"), "No such file"),
-    (("theorem", "--p", "5", "--n", "2", "--samples", "2", "--jobs", "0"),
-     "theorem needs --jobs >= 1, got 0"),
-    (("theorem", "--p", "5", "--n", "2", "--samples", "2", "--jobs", "-3"),
-     "theorem needs --jobs >= 1, got -3"),
-    (("all", "--jobs", "0"), "needs --jobs >= 1, got 0"),
+    # a replay runs its records, so an explicit --samples would be ignored,
+    # even one equal to the replayed count
+    (("theorem", "--samples", "50", "--replay", THEOREM_RECORD),
+     "--samples cannot be combined with --replay"),
+    (("funceq", "--samples", "3", "--replay", THEOREM_RECORD),
+     "--samples cannot be combined with --replay"),
+    (("maincong", "--samples", "1", "--replay", THEOREM_RECORD),
+     "--samples cannot be combined with --replay"),
     (("g-valuation", "--p", "7", "--n", "3", "--count", "0"),
      "g-valuation needs at least one residue, got 0"),
     (("g-valuation", "--p", "7", "--n", "3", "--count", "-2"),
@@ -413,6 +385,25 @@ def test_replay_restores_the_recorded_order(tmp_path, capsys, argv):
                          "--format", "json")
     assert code2 == 0
     assert out2 == out
+
+
+def test_replay_keeps_an_explicit_maincong_order(tmp_path, capsys):
+    # at order 2 two of the three samples run out of precision; the replay
+    # once ran them at the default order and passed
+    code, out, _ = run(capsys, "verify", "maincong", "--p", "5", "--n", "2",
+                       "--order", "2", "--samples", "3", "--seed", "4",
+                       "--format", "json")
+    assert code == 1
+    assert json.loads(out)["params"]["M"] == 2
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code2, out2, _ = run(capsys, "verify", "maincong", "--replay", str(path),
+                         "--format", "json")
+    assert code2 == 1
+    replayed = json.loads(out2)
+    assert replayed["params"]["M"] == 2
+    assert replayed["perSample"]
+    assert all("precisionShortfall" in rec for rec in replayed["perSample"])
 
 
 def test_check_knobs_are_driver_parameters():

@@ -7,7 +7,9 @@ elsewhere in ``src/``, referenced from the benchmark scripts
 ``perfbench/*.py``, unless the class is exported: its fields are then part
 of the public constructor.  Helpers that only tests call belong in
 ``tests/``.  Only the one record loop, ``report.records``, builds a record
-with an ``"index"`` key.
+with an ``"index"`` key.  No module reads the process environment or imports
+thread machinery: each value comes from its flag, a replayed report or its
+default, and every check runs serially.
 """
 
 import ast
@@ -105,6 +107,21 @@ def index_displays(tree) -> list:
     return found
 
 
+def ambient_uses(tree) -> list:
+    """Imports of ``threading`` or ``concurrent``, and uses of ``os.environ``
+    or ``os.getenv``, as dotted names."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.append(f"{node.value.id}.{node.attr}")
+    return [name for name in names if name in ("os.environ", "os.getenv")
+            or name.split(".")[0] in ("threading", "concurrent")]
+
+
 def test_scan_sees_the_package():
     assert len(SRC) >= 10 and BENCH
     names = {name for path in SRC for name in _definitions(ast.parse(path.read_text()))}
@@ -164,3 +181,23 @@ def test_a_hand_numbered_record_is_flagged():
         "    return rec[\"index\"], {**rec, \"n\": 1}\n"
     )
     assert index_displays(tree) == ["check"]
+
+
+def test_no_module_reads_the_environment_or_spawns_threads():
+    trees = _parse_all()
+    found = [(path.stem, name) for path in SRC for name in ambient_uses(trees[path])]
+    assert found == []
+
+
+def test_an_environment_read_or_a_thread_import_is_flagged():
+    tree = ast.parse(
+        "import os\n"
+        "import threading\n"
+        "from os import getenv\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "A = int(os.environ.get('A', '4'))\n"
+        "B = os.path.join('a', 'b')\n"
+    )
+    assert ambient_uses(tree) == [
+        "threading", "os.getenv", "concurrent.futures",
+        "concurrent.futures.ThreadPoolExecutor", "os.environ"]

@@ -22,7 +22,6 @@ def test_records_number_items_and_merge_their_fields():
         {"index": 1, "n": 7, "sum": 15, "pass": False},
         {"index": 2, "n": 9, "sum": 19, "pass": False},
     ]
-    assert records(items, measure, jobs=2) == out
     assert records([], measure) == []
 
 
@@ -38,6 +37,14 @@ def test_records_turn_a_precision_error_into_a_shortfall():
     assert [r["pass"] for r in out] == [True, False, True]
     with pytest.raises(ValueError):
         records([({}, ())], lambda: int("x"))
+
+
+def test_jobs_other_than_one_is_rejected():
+    # checks run serially; the keyword is never silently ignored
+    with pytest.raises(ConfigError, match="jobs must be 1, got 2"):
+        CHECKS["theorem"].run(p=5, n=2, samples=2, jobs=2)
+    with pytest.raises(ConfigError, match="jobs must be 1, got 2"):
+        run_matrix("small", jobs=2)
 
 
 def _raise_precision(*args, **kwargs):
