@@ -18,7 +18,7 @@ The package has two arithmetic layers and a verification layer on top:
 * ``identities``   -- exact rational coefficient systems (no prime involved).
 * ``section3``     -- iterated dlog integrals as an independent route to the
   same combinations, for cross-validation.
-* ``matrix``       -- the check table: each check's CLI knobs and matrix cells.
+* ``matrix``       -- the check table: each check's driver and matrix cells.
 * ``report``       -- canonical reports and the shared sampled driver.
 * ``cli``          -- the ``polylogp`` verification harness.
 """

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 
@@ -27,30 +28,42 @@ def _ints(text: str) -> tuple:
     return tuple(int(t) for t in text.split(","))
 
 
-# knob -> (flags, argparse settings); a check gets the flags of its knobs only
+# knob -> (flags, argparse settings); a check gets the flags of its driver's
+# keyword arguments, and each flag's help shows the driver's default
 KNOBS = {
     "p": (("--p",), {"type": int, "help": "odd prime"}),
-    "k": (("--k",), {"type": int, "help": "extension degree (default 1)"}),
+    "k": (("--k",), {"type": int, "help": "extension degree"}),
     "n": (("--n",), {"type": int, "help": "weight"}),
     "ns": (("--ns",), {"type": _ints, "help": "comma-separated weights"}),
-    "nmax": (("--nmax",), {"type": int, "help": "largest weight (default 12)"}),
-    "count": (("--count",), {"type": int, "help": "residues to check (default 5)"}),
-    "A": (("--precision", "-A"), {
-        "type": int, "help": "working digits A (default n+4)"}),
-    "m": (("--riemann-m",), {
-        "type": int, "metavar": "m",
-        "help": "measure modulus m (default n+2; corollary 2)"}),
-    "M": (("--order", "-M"), {"type": int, "help": "series truncation order override"}),
-    "samples": (("--samples",), {"type": int, "help": "sampled points (default 20)"}),
-    "seed": (("--seed",), {"type": int, "help": "sampling seed (default: the replayed "
-                           f"seed, else {matrix.DEFAULT_SEED})"}),
+    "nmax": (("--nmax",), {"type": int, "help": "largest weight"}),
+    "count": (("--count",), {"type": int, "help": "residues to check"}),
+    "A": (("--precision", "-A"), {"type": int, "help": "working digits A"}),
+    "m": (("--riemann-m",), {"type": int, "metavar": "m", "help": "measure modulus m"}),
+    "M": (("--order", "-M"), {"type": int, "help": "series truncation order"}),
+    "samples": (("--samples",), {"type": int, "help": "sampled points"}),
+    "seed": (("--seed",), {"type": int, "help": "sampling seed"}),
     "points": (("--replay",), {"metavar": "FILE",
-                               "help": "JSON report or sample record to re-execute"}),
+                               "help": "JSON report or sample record to re-execute "
+                                       "with its parameters and seed"}),
     "trace": (("--trace",), {"action": "store_true", "default": None,
                              "help": "dump series diagnostics to stderr"}),
 }
-DEFAULTS = {"samples": 20, "seed": matrix.DEFAULT_SEED}
-REQUIRED = ("p", "n")
+# what a driver derives in place of a knob it defaults to None
+DERIVED = {"A": "from the weight, recorded in params",
+           "m": "from the weight, recorded in params",
+           "M": "from p, n and A"}
+
+
+def _help(knob: str, default) -> str:
+    """The help of a knob's flag, with the driver's default for the knob."""
+    text = KNOBS[knob][1]["help"]
+    if default is inspect.Parameter.empty:
+        return f"{text} (required)"
+    if default is None:
+        return f"{text} (default derived {DERIVED[knob]})" if knob in DERIVED else text
+    if isinstance(default, tuple):
+        default = ",".join(map(str, default))
+    return f"{text} (default {default})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,16 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
     checks = verify.add_subparsers(dest="check", required=True)
     for spec in matrix.CHECKS.values():
         sub = checks.add_parser(spec.name)
-        for knob in spec.knobs:
+        for knob, default in spec.knobs.items():
             flags, settings = KNOBS[knob]
-            sub.add_argument(*flags, dest=knob, **settings)
+            sub.add_argument(*flags, dest=knob,
+                             **{**settings, "help": _help(knob, default)})
         sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
         sub.set_defaults(handler=functools.partial(_run_check, spec))
 
     sub = checks.add_parser("all")
     sub.add_argument("--matrix", choices=("small", "full"), default="small")
-    sub.add_argument("--seed", type=int, default=matrix.DEFAULT_SEED,
-                     help=f"sampling seed (default {matrix.DEFAULT_SEED})")
+    sub.add_argument("--seed", type=int, default=report_mod.DEFAULT_SEED,
+                     help=f"sampling seed (default {report_mod.DEFAULT_SEED})")
     sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.set_defaults(handler=_run_all)
 
@@ -116,23 +130,23 @@ def _print_trace(info: dict) -> None:
 
 def _run_check(spec, args) -> dict:
     """Each knob of the check: its flag, else the replayed report's value,
-    else its default, else the driver's.  A replay runs exactly its records,
-    so it takes no --samples."""
+    else the driver's default.  A replay runs exactly its records from its
+    seed, so it takes no --samples and no --seed."""
     replayed = {}
     if getattr(args, "points", None) is not None:
-        if args.samples is not None:
-            raise ConfigError("--samples cannot be combined with --replay, "
-                              "which runs the replayed records")
+        for knob in ("samples", "seed"):
+            if getattr(args, knob) is not None:
+                raise ConfigError(f"--{knob} cannot be combined with --replay, "
+                                  "which runs the replayed records")
         replayed, args.points = _load_replay(args.points)
     kwargs = {}
-    for knob in spec.knobs:
-        for value in (getattr(args, knob), replayed.get(knob), DEFAULTS.get(knob)):
-            if value is not None:
-                kwargs[knob] = value
-                break
-        else:
-            if knob in REQUIRED:
-                raise ConfigError(f"missing required parameter --{knob}")
+    for knob, default in spec.knobs.items():
+        value = getattr(args, knob)
+        value = replayed.get(knob) if value is None else value
+        if value is not None:
+            kwargs[knob] = value
+        elif default is inspect.Parameter.empty:
+            raise ConfigError(f"missing required parameter {KNOBS[knob][0][0]}")
     if kwargs.get("trace"):
         kwargs["trace"] = _print_trace
     return spec.run(**kwargs)

@@ -372,7 +372,7 @@ def verify_theorem(
     n: int,
     k: int = 1,
     samples: int = 20,
-    seed: int = 0,
+    seed: int = report_mod.DEFAULT_SEED,
     A: int | None = None,
     m: int | None = None,
     M: int | None = None,
@@ -439,7 +439,7 @@ def check_prop_reduction(
     n: int,
     k: int = 1,
     samples: int = 50,
-    seed: int = 0,
+    seed: int = report_mod.DEFAULT_SEED,
     A: int | None = None,
     m: int | None = None,
     jobs: int = 1,
@@ -516,7 +516,7 @@ def check_maincong(
     n: int,
     k: int = 1,
     samples: int = 50,
-    seed: int = 0,
+    seed: int = report_mod.DEFAULT_SEED,
     A: int | None = None,
     m: int | None = None,
     M: int | None = None,
@@ -571,7 +571,7 @@ def check_g_valuations(
     n: int,
     k: int = 1,
     count: int = 5,
-    seed: int = 0,
+    seed: int = report_mod.DEFAULT_SEED,
     A: int | None = None,
     m: int | None = None,
     M: int | None = None,
@@ -622,7 +622,7 @@ def check_functional_equation(
     n: int,
     k: int = 1,
     samples: int = 20,
-    seed: int = 0,
+    seed: int = report_mod.DEFAULT_SEED,
     A: int | None = None,
     m: int | None = None,
     jobs: int = 1,

@@ -1,4 +1,4 @@
-"""The check table: every verification, its CLI knobs and its matrix cells.
+"""The check table: every verification, its driver and its matrix cells.
 
 One source of truth shared by the ``polylogp verify`` subcommands,
 ``polylogp verify all`` and the acceptance test suite.  The ``full`` matrix
@@ -7,6 +7,7 @@ is the release gate; ``small`` is a smoke pass over a few cheap cells.
 
 from __future__ import annotations
 
+import inspect
 import sys
 from dataclasses import dataclass
 from types import ModuleType
@@ -14,30 +15,31 @@ from types import ModuleType
 from . import coleman, identities, section3
 from .finite_poly import FiniteField, inversion_identities
 from . import report as report_mod
-
-DEFAULT_SEED = 20260809
-
-# the knobs of a sampled check: --samples, --seed and --replay
-SAMPLED = ("samples", "seed", "points")
+from .report import DEFAULT_SEED
 
 
 @dataclass(frozen=True)
 class Check:
-    """One verification: its subcommand, its driver and what it takes.
+    """One verification: its subcommand, its driver and its matrix cells.
 
-    ``knobs`` names the driver's keyword arguments that the CLI exposes; a
-    flag for any other knob is rejected.  ``full`` and ``small`` are the
-    driver's keyword arguments per matrix cell, and ``samples`` the sample
-    count per cell of each matrix.
+    ``full`` and ``small`` are the driver's keyword arguments per matrix
+    cell.  The matrix adds only its seed, so a full cell run alone at the
+    default seed gives the matrix's report.
     """
 
     name: str
     module: ModuleType
     driver: str
-    knobs: tuple
     full: list
     small: list
-    samples: tuple = (None, None)
+
+    @property
+    def knobs(self) -> dict:
+        """The driver's keyword arguments, each with its default
+        (``inspect.Parameter.empty`` when it is required).  ``jobs`` is not
+        one: the checks run serially."""
+        params = inspect.signature(getattr(self.module, self.driver)).parameters
+        return {name: param.default for name, param in params.items() if name != "jobs"}
 
     def run(self, **kwargs) -> dict:
         # looked up on every call, so a wrapper installed on the module
@@ -45,9 +47,10 @@ class Check:
         return getattr(self.module, self.driver)(**kwargs)
 
 
-def _grid(ps, ns, ks, gap=None) -> list:
-    """The (p, n, k) cells of ps x ns x ks, keeping p > n + gap."""
-    return [{"p": p, "n": n, "k": k} for p in ps for n in ns
+def _grid(ps, ns, ks, gap=None, **fixed) -> list:
+    """The (p, n, k) cells of ps x ns x ks, keeping p > n + gap, each with
+    the keyword arguments ``fixed``."""
+    return [{"p": p, "n": n, "k": k, **fixed} for p in ps for n in ns
             if gap is None or p > n + gap for k in ks]
 
 
@@ -82,54 +85,36 @@ def inversion_check_report(p: int, k: int = 1, ns=(2, 3, 4, 5, 6)) -> dict:
 
 CHECKS = {spec.name: spec for spec in (
     Check("theorem", coleman, "verify_theorem",
-          knobs=("p", "k", "n", "A", "m", "M", "trace") + SAMPLED,
           full=_grid((5, 7, 11, 13), (2, 3, 4), (1, 2), gap=1),
-          small=_grid((5,), (2,), (1,)) + _grid((7,), (3,), (2,)),
-          samples=(20, 5)),
+          small=_grid((5,), (2,), (1,), samples=5) + _grid((7,), (3,), (2,), samples=5)),
     Check("proposition1", coleman, "check_prop_reduction",
-          knobs=("p", "k", "n", "A", "m") + SAMPLED,
           full=_grid((5, 7, 11), (1, 2, 3), (1, 2)),
-          small=_grid((5,), (1,), (1,)),
-          samples=(50, 10)),
+          small=_grid((5,), (1,), (1,), samples=10)),
     Check("corollary", coleman, "check_corollary",
-          knobs=("p", "k", "ns", "A", "m"),
           full=_corollary_fields(),
           small=[{"p": 5, "k": 1}, {"p": 5, "k": 2}]),
     Check("maincong", coleman, "check_maincong",
-          knobs=("p", "k", "n", "A", "m", "M") + SAMPLED,
           full=_grid((5, 7, 11), (1, 2, 3), (1, 2), gap=1),
-          small=_grid((5,), (2,), (1,)),
-          samples=(50, 10)),
+          small=_grid((5,), (2,), (1,), samples=10)),
     Check("g-valuation", coleman, "check_g_valuations",
-          knobs=("p", "k", "n", "count", "seed", "A", "m", "M"),
           full=_grid((5, 7, 11), (1, 2, 3), (1,), gap=1),
           small=_grid((5,), (2,), (1,))),
     Check("funceq", coleman, "check_functional_equation",
-          knobs=("p", "k", "n", "A", "m") + SAMPLED,
           full=_grid((5, 7, 11), (2, 3, 4), (1,), gap=1),
-          small=_grid((7,), (2,), (1,)),
-          samples=(20, 5)),
+          small=_grid((7,), (2,), (1,), samples=5)),
     Check("delprop", section3, "delprop_check",
-          knobs=("p", "k", "n", "A", "m", "M") + SAMPLED,
           full=_grid((5, 7, 11), (0, 1, 2, 3), (1,), gap=2),
-          small=_grid((7,), (2,), (1,)),
-          samples=(10, 3)),
+          small=_grid((7,), (2,), (1,), samples=3)),
     Check("f-lemmas", section3, "f_lemmas_check",
-          knobs=("p", "k", "n", "A", "M") + SAMPLED,
           full=_grid((5, 7, 11), (0, 1, 2, 3), (1,), gap=1),
-          small=_grid((5,), (2,), (1,)),
-          samples=(10, 3)),
+          small=_grid((5,), (2,), (1,), samples=3)),
     Check("e-recover", section3, "e_recover_check",
-          knobs=("p", "k", "n", "A", "m") + SAMPLED,
           full=_grid((7,), (2, 3), (1,)) + _grid((11,), (3,), (1,)),
-          small=_grid((7,), (2,), (1,)),
-          samples=(10, 3)),
+          small=_grid((7,), (2,), (1,), samples=3)),
     Check("identities", identities, "identities_report",
-          knobs=("nmax",),
           full=[{"nmax": 12}],
           small=[{"nmax": 6}]),
     Check("inversion", sys.modules[__name__], "inversion_check_report",
-          knobs=("p", "k", "ns"),
           full=[{"p": p, "k": k, "ns": (2, 3, 4, 5, 6)}
                 for p in (5, 7, 11, 13) for k in (1, 2)],
           small=[{"p": 5, "k": 1, "ns": (2,)}, {"p": 7, "k": 1, "ns": (3,)}]),
@@ -143,12 +128,10 @@ def run_matrix(kind: str = "full", seed: int = DEFAULT_SEED, jobs: int = 1,
     if jobs != 1:
         raise report_mod.ConfigError(f"verify all runs serially: jobs must be 1, "
                                      f"got {jobs}")
-    full = kind == "full"
     reports = []
     for spec in CHECKS.values():
-        knobs = {"samples": spec.samples[0 if full else 1], "seed": seed}
-        knobs = {key: value for key, value in knobs.items() if key in spec.knobs}
-        for cell in spec.full if full else spec.small:
+        knobs = {"seed": seed} if "seed" in spec.knobs else {}
+        for cell in spec.full if kind == "full" else spec.small:
             rep = spec.run(**cell, **knobs)
             reports.append(rep)
             if progress is not None:

@@ -18,6 +18,7 @@ from .padic_core import PrecisionError, UnramifiedCtx, WittApprox
 from .rng import SplitMix64
 
 SCHEMA_VERSION = 1
+DEFAULT_SEED = 20260809  # the default seed of every sampled driver and of the matrix
 
 
 class ConfigError(ValueError):

@@ -90,7 +90,7 @@ def delprop_check(
     n: int,
     k: int = 1,
     samples: int = 10,
-    seed: int = 0,
+    seed: int = report_mod.DEFAULT_SEED,
     A: int | None = None,
     m: int | None = None,
     M: int | None = None,
@@ -184,7 +184,7 @@ def f_lemmas_check(
     n: int,
     k: int = 1,
     samples: int = 10,
-    seed: int = 0,
+    seed: int = report_mod.DEFAULT_SEED,
     A: int | None = None,
     M: int | None = None,
     jobs: int = 1,
@@ -219,7 +219,7 @@ def e_recover_check(
     n: int,
     k: int = 1,
     samples: int = 10,
-    seed: int = 0,
+    seed: int = report_mod.DEFAULT_SEED,
     A: int | None = None,
     m: int | None = None,
     jobs: int = 1,

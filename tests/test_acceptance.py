@@ -15,14 +15,7 @@ from fractions import Fraction
 import pytest
 
 from polylogp import matrix
-from polylogp.coleman import (
-    check_corollary,
-    check_functional_equation,
-    check_g_valuations,
-    check_maincong,
-    check_prop_reduction,
-    verify_theorem,
-)
+from polylogp.coleman import verify_theorem
 from polylogp.finite_poly import (
     FiniteField,
     check_inversion_identity,
@@ -34,7 +27,6 @@ from polylogp.padic_core import UnramifiedCtx
 from polylogp.power_series import TruncSeries
 from polylogp.report import to_json
 from polylogp.rng import SplitMix64
-from polylogp.section3 import delprop_check, e_recover_check, f_lemmas_check
 
 SEED = matrix.DEFAULT_SEED
 
@@ -42,6 +34,18 @@ SEED = matrix.DEFAULT_SEED
 def cells(name: str, *keys: str) -> list:
     """The full-matrix cells of a check in the check table, as key tuples."""
     return [tuple(cell[key] for key in keys) for cell in matrix.CHECKS[name].full]
+
+
+def full_reports(name: str) -> dict:
+    """The reports of a check's full-matrix cells, keyed by the cell's
+    values, each run as the matrix runs it: the cell and the matrix seed."""
+    spec = matrix.CHECKS[name]
+    seed = {"seed": SEED} if "seed" in spec.knobs else {}
+    return {tuple(cell.values()): spec.run(**cell, **seed) for cell in spec.full}
+
+
+def failing_cells(name: str) -> list:
+    return [cell for cell, rep in full_reports(name).items() if not rep["pass"]]
 
 
 def inversion_cells() -> list:
@@ -55,10 +59,7 @@ def _line(num: int, ok: bool, desc: str) -> bool:
 
 @pytest.fixture(scope="module")
 def theorem_reports():
-    return {
-        (p, n, k): verify_theorem(p, n, k, samples=20, seed=SEED)
-        for (p, n, k) in cells("theorem", "p", "n", "k")
-    }
+    return full_reports("theorem")
 
 
 def test_criterion_01_theorem_valuation(theorem_reports):
@@ -68,7 +69,7 @@ def test_criterion_01_theorem_valuation(theorem_reports):
         for rec in rep["perSample"]
         if not rec.get("valuationOk")
     ]
-    ok = _line(1, not bad, "v_p(DF_n) >= n-1 over the full (p,n,k) matrix, 20 samples")
+    ok = _line(1, not bad, "v_p(DF_n) >= n-1 over the full (p,n,k) matrix")
     assert ok, bad
 
 
@@ -97,22 +98,14 @@ def test_criterion_03_uniqueness():
 
 
 def test_criterion_04_proposition_reduction():
-    failures = []
-    for (p, n, k) in cells("proposition1", "p", "n", "k"):
-        rep = check_prop_reduction(p, n, k, samples=50, seed=SEED)
-        if not rep["pass"]:
-            failures.append((p, n, k))
+    failures = failing_cells("proposition1")
     ok = _line(4, not failures,
-               "Riemann sums reduce to li_n(zbar)/(1-zbar^p), 50 samples per cell")
+               "Riemann sums reduce to li_n(zbar)/(1-zbar^p) on every sample")
     assert ok, failures
 
 
 def test_criterion_05_corollary_exhaustive():
-    failures = []
-    for (p, k) in cells("corollary", "p", "k"):
-        rep = check_corollary(p, k, ns=(1, 2, 3))
-        if not rep["pass"]:
-            failures.append((p, k))
+    failures = failing_cells("corollary")
     ok = _line(5, not failures,
                "root-of-unity values: valuation >= n and mod-p formula, "
                "exhaustive for p^k <= 49")
@@ -120,44 +113,28 @@ def test_criterion_05_corollary_exhaustive():
 
 
 def test_criterion_06_disc_congruence():
-    failures = []
-    for (p, n, k) in cells("maincong", "p", "n", "k"):
-        rep = check_maincong(p, n, k, samples=50, seed=SEED)
-        if not rep["pass"]:
-            failures.append((p, n, k))
-    ok = _line(6, not failures, "disc expansion mod p, 50 seeded pairs per cell")
+    failures = failing_cells("maincong")
+    ok = _line(6, not failures, "disc expansion mod p on every seeded pair")
     assert ok, failures
 
 
 def test_criterion_07_series_valuation_lemma():
-    failures = []
-    for (p, n, k) in cells("g-valuation", "p", "n", "k"):
-        rep = check_g_valuations(p, n, k, count=5, seed=SEED)
-        if not rep["pass"]:
-            failures.append((p, n, k))
+    failures = failing_cells("g-valuation")
     ok = _line(7, not failures,
                "every stored disc coefficient has v_p >= j - n - v_p(j!)")
     assert ok, failures
 
 
 def test_criterion_08_functional_equation():
-    failures = []
-    for (p, n, k) in cells("funceq", "p", "n", "k"):
-        rep = check_functional_equation(p, n, k, samples=20, seed=SEED)
-        if not rep["pass"]:
-            failures.append((p, n, k))
+    failures = failing_cells("funceq")
     ok = _line(8, not failures,
                "F_n(z) + (-1)^n F_n(1/z) = 0 and the L-route identity, "
-               ">= 3 certified digits, 20 samples per cell")
+               ">= 3 certified digits on every sample")
     assert ok, failures
 
 
 def test_criterion_09_difference_formula():
-    failures = []
-    for (p, n, k) in cells("delprop", "p", "n", "k"):
-        rep = delprop_check(p, n, k, samples=10, seed=SEED)
-        if not rep["pass"]:
-            failures.append((p, n, k))
+    failures = failing_cells("delprop")
     ok = _line(9, not failures,
                "two-point difference formula to >= 3 certified digits "
                "(includes the exact weight-0 case)")
@@ -165,11 +142,7 @@ def test_criterion_09_difference_formula():
 
 
 def test_criterion_10_iterated_integral_lemmas():
-    failures = []
-    for (p, n, k) in cells("f-lemmas", "p", "n", "k"):
-        rep = f_lemmas_check(p, n, k, samples=10, seed=SEED)
-        if not rep["pass"]:
-            failures.append((p, n, k))
+    failures = failing_cells("f-lemmas")
     ok = _line(10, not failures,
                "p^{-n} f_n congruence and v_p(Df_k) >= k on the same matrix")
     assert ok, failures
@@ -177,11 +150,7 @@ def test_criterion_10_iterated_integral_lemmas():
 
 def test_criterion_11_constants_and_route_agreement():
     ok = all(c_sum(n) == Fraction(1, n + 1) and d_sum(n) == 1 for n in range(1, 21))
-    failures = []
-    for (p, n, k) in cells("e-recover", "p", "n", "k"):
-        rep = e_recover_check(p, n, k, samples=10, seed=SEED)
-        if not rep["pass"]:
-            failures.append((p, n, k))
+    failures = failing_cells("e-recover")
     ok = ok and not failures
     ok = _line(11, ok, "binomial constants exact for n <= 20; "
                        "simplified-weight route equals the closed form")

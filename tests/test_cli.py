@@ -1,12 +1,13 @@
 """Exit codes, output formats, determinism, replay, flag precedence."""
 
+import argparse
 import hashlib
 import inspect
 import json
 
 import pytest
 
-from polylogp.cli import main
+from polylogp.cli import KNOBS, build_parser, main
 from polylogp.matrix import CHECKS, DEFAULT_SEED, run_matrix
 from polylogp.power_series import TruncSeries
 from polylogp.report import to_json
@@ -197,15 +198,19 @@ def test_replayed_report_keeps_its_seed(tmp_path, capsys):
 
 def test_seed_zero_is_recorded(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "theorem", "--p", "5", "--n", "2",
-                       "--samples", "2", "--seed", "5", "--format", "json")
-    assert code == 0
-    path = tmp_path / "report.json"
-    path.write_text(out)
-    # an explicit --seed 0 wins over the replayed seed
-    code, out, _ = run(capsys, "verify", "theorem", "--replay", str(path),
-                       "--seed", "0", "--format", "json")
+                       "--samples", "2", "--seed", "0", "--format", "json")
     assert code == 0
     assert json.loads(out)["params"]["seed"] == 0
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    # a replay runs from the replayed seed, so an explicit --seed is rejected
+    code, _, err = run(capsys, "verify", "theorem", "--replay", str(path),
+                       "--seed", "5", "--format", "json")
+    assert code == 2
+    assert "--seed cannot be combined with --replay" in err
+    code, out2, _ = run(capsys, "verify", "theorem", "--replay", str(path),
+                        "--format", "json")
+    assert (code, out2) == (0, out)
     code, out, _ = run(capsys, "verify", "all", "--matrix", "small", "--seed", "0",
                        "--format", "json")
     assert json.loads(out)["params"]["seed"] == 0
@@ -311,6 +316,11 @@ def test_flag_a_check_does_not_take_exits_two(capsys, case):
     (("identities", "--nmax", "-3"), "identities needs --nmax >= 2, got -3"),
     # inversion weights, as every other check rejects its weights
     (("inversion", "--p", "5", "--ns", "2,1"), "inversion needs n >= 2, got n=1"),
+    # a replay runs from the replayed seed, so an explicit --seed would be
+    # ignored by every check but the theorem's w-independence pair
+    *[((name, "--seed", "99", "--replay", THEOREM_RECORD),
+       "--seed cannot be combined with --replay")
+      for name, spec in CHECKS.items() if "points" in spec.knobs],
 ])
 def test_invalid_configuration_exits_two(tmp_path, capsys, argv, message):
     argv = list(argv)
@@ -406,10 +416,81 @@ def test_replay_keeps_an_explicit_maincong_order(tmp_path, capsys):
     assert all("precisionShortfall" in rec for rec in replayed["perSample"])
 
 
-def test_check_knobs_are_driver_parameters():
+def _check_parsers() -> dict:
+    """The ``verify <check>`` subparsers, by check name."""
+    def subparsers(parser):
+        return next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
+    return subparsers(subparsers(build_parser())["verify"])
+
+
+def test_check_options_are_driver_parameters():
+    # the flags of a check are its driver's keyword arguments, read from the
+    # undecorated signature, and --format; jobs is not a flag (serial runs)
+    parsers = _check_parsers()
     for spec in CHECKS.values():
         driver = getattr(spec.module, spec.driver)
-        assert set(spec.knobs) <= set(inspect.signature(driver).parameters), spec.name
+        dests = {action.dest for action in parsers[spec.name]._actions
+                 if action.dest != "help"}
+        assert dests == set(inspect.signature(driver).parameters) - {"jobs"} | {"format"}, \
+            spec.name
+
+
+def test_each_flag_help_states_its_driver_default():
+    # the help once said "default 20" samples for every check and A = n+4,
+    # m = n+2 where delprop takes n+5 and n+3
+    parsers = _check_parsers()
+    for spec in CHECKS.values():
+        helps = {action.dest: action.help for action in parsers[spec.name]._actions}
+        for knob, default in spec.knobs.items():
+            if isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            if default is inspect.Parameter.empty:
+                assert helps[knob].endswith("(required)"), (spec.name, knob)
+            elif default is not None:
+                assert helps[knob].endswith(f"(default {default})"), (spec.name, knob)
+            elif knob in ("A", "m", "M"):
+                assert "(default derived from" in helps[knob], (spec.name, knob)
+            assert "n+" not in helps[knob], (spec.name, knob)
+
+
+def _required_cases():
+    for spec in CHECKS.values():
+        driver = getattr(spec.module, spec.driver)
+        for name, param in inspect.signature(driver).parameters.items():
+            if param.default is inspect.Parameter.empty:
+                yield spec.name, name
+
+
+@pytest.mark.parametrize("name, knob", _required_cases())
+def test_a_missing_required_knob_exits_two_and_names_its_flag(capsys, name, knob):
+    argv = _base_argv(CHECKS[name])
+    flag = argv.index(f"--{knob}")
+    del argv[flag:flag + 2]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"missing required parameter --{knob}" in err
+
+
+def _cell_argv(cell: dict) -> list:
+    argv = []
+    for knob, value in cell.items():
+        value = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        argv += [KNOBS[knob][0][0], value]
+    return argv
+
+
+def test_a_full_cell_alone_gives_its_matrix_report(capsys):
+    # no --samples and no --seed: each takes the driver's default, which the
+    # full matrix takes too
+    reports = iter(run_matrix("full")["reports"])
+    for spec in CHECKS.values():
+        first = [next(reports) for _ in spec.full][0]
+        code, out, _ = run(capsys, "verify", spec.name, *_cell_argv(spec.full[0]),
+                           "--format", "json")
+        assert out == to_json(first) + "\n", spec.name
+        assert code == (0 if first["pass"] else 1), spec.name
 
 
 def test_small_matrix_canonical_json_is_pinned():
