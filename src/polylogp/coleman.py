@@ -136,6 +136,17 @@ class PolylogEvaluator:
 
         The integrand x^{-n} is constant mod p^m on each cell and the measure
         takes integral values here, so the certified absolute error is p^-m.
+
+        One measure sum serves the whole Frobenius orbit of z: a miss at z
+        also memoizes phi^i of each value at phi^i(z), i < k.  That is the
+        value a fresh evaluation at phi^i(z) gives, field for field.  The sum
+        sum_{p∤a<p^m} a^{-n} z^a / (1 - z^{p^m}) has its scalars a^{-n} in Z_p,
+        which phi fixes, and every step is a ring operation that commutes
+        with phi: ``poly_mul`` and ``poly_inverse`` (so z^a, 1 - z^{p^m} and
+        its inverse), integer combinations, and reduction mod p^r.  And
+        phi(z) mod p^prec depends on z mod p^prec only, so S(phi z) and
+        phi(S(z)) agree mod p^prec; ``make`` and ``cap_abs`` normalize by
+        valuations, which phi preserves, then cap at min(m, prec) <= prec.
         """
         if n < 0:
             raise ValueError("weight must be >= 0")
@@ -149,9 +160,14 @@ class PolylogEvaluator:
             sums, inv_cell = self._measure_sums(z, sorted(want), m)
             inv_factor = ctx.make(0, inv_cell, z.prec)  # 1/(1 - z^{p^m})
             certified = min(m, z.prec)
-            for nn, vec in sums.items():
-                raw = ctx.make(0, vec, ctx.A)
-                cached[nn] = (raw * inv_factor).cap_abs(certified)
+            values = {nn: (ctx.make(0, vec, ctx.A) * inv_factor).cap_abs(certified)
+                      for nn, vec in sums.items()}
+            cached.update(values)
+            zi = z
+            for _ in range(ctx.k - 1):  # S(phi^i z) = phi^i S(z)
+                zi = zi.frobenius()
+                values = {nn: v.frobenius() for nn, v in values.items()}
+                self._lip.setdefault((zi.scale, zi.coeffs, zi.prec), {}).update(values)
         return cached[n]
 
     def _measure_sums(self, z: WittApprox, ns: list, m: int) -> tuple:
@@ -242,7 +258,9 @@ class PolylogEvaluator:
         Computes p^n/(p^{kn}-1) * sum_i p^{(k-1-i)n} Li^{(p)}_n(alpha^{p^i})
         over the orbit, and certifies the valuation is at least n.  The orbit
         steps by the Witt Frobenius, which is alpha -> alpha^p at a root of
-        unity (``WittApprox.frobenius``).
+        unity (``WittApprox.frobenius``).  Only the first point of an orbit
+        runs a measure sum: ``li_p_riemann`` memoizes the conjugates
+        phi^i(alpha) from it, so the rest of the loop reads the memo.
         """
         if n < 1:
             raise ValueError("weight must be >= 1 here; weight 0 is z/(1-z)")
@@ -609,11 +627,13 @@ def check_g_valuations(
         return {"order": g.order, "violations": bad, "pass": not bad}
 
     items = [({"zbar": list(zbar.coeffs)}, (zbar,)) for zbar in residues]
+    # an explicit order is recorded, as in maincong; the default order
+    # follows from p, n and A
+    params = {"p": p, "n": n, "k": k, "A": A, "m": m, "count": len(residues), "seed": seed}
+    if M is not None:
+        params["M"] = M
     return report_mod.assemble(
-        "g-valuation",
-        {"p": p, "n": n, "k": k, "A": A, "m": m, "count": len(residues), "seed": seed},
-        ctx,
-        report_mod.records(items, measure),
+        "g-valuation", params, ctx, report_mod.records(items, measure),
     )
 
 

@@ -416,6 +416,22 @@ def test_replay_keeps_an_explicit_maincong_order(tmp_path, capsys):
     assert all("precisionShortfall" in rec for rec in replayed["perSample"])
 
 
+def test_g_valuation_records_an_explicit_order(capsys):
+    # two runs at different orders once printed the same params
+    params = {}
+    for order in ("5", "60"):
+        code, out, _ = run(capsys, "verify", "g-valuation", "--p", "7", "--n", "3",
+                           "--count", "2", "-M", order, "--format", "json")
+        assert code == 0
+        params[order] = json.loads(out)["params"]
+    assert params["5"]["M"] == 5 and params["60"]["M"] == 60
+    assert params["5"] != params["60"]
+    code, out, _ = run(capsys, "verify", "g-valuation", "--p", "7", "--n", "3",
+                       "--count", "2", "--format", "json")
+    assert code == 0
+    assert "M" not in json.loads(out)["params"]
+
+
 def _check_parsers() -> dict:
     """The ``verify <check>`` subparsers, by check name."""
     def subparsers(parser):

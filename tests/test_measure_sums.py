@@ -1,12 +1,15 @@
-"""The closed-form measure sum against the direct Riemann loop and against
-Coleman's inversion and distribution relations for Li^(p)_n."""
+"""The closed-form measure sum against the direct Riemann loop, against
+Coleman's inversion and distribution relations for Li^(p)_n, and against
+the Witt Frobenius: one sum serves a whole Frobenius orbit."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from polylogp.coleman import PolylogEvaluator
+from polylogp.coleman import PolylogEvaluator, check_corollary
+from polylogp.finite_poly import FiniteField, frobenius
 from polylogp.padic_core import UnramifiedCtx, residue, teichmuller
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -36,6 +39,14 @@ def direct_measure_sums(ctx, z, ns, m):
     return {n: tuple(acc[n]) for n in ns}
 
 
+def direct_values(ctx, z, m):
+    """The direct loop's Li^(p)_n(z) for every n in WEIGHTS, as li_p_riemann caps it."""
+    ref = direct_measure_sums(ctx, z, WEIGHTS, m)
+    inv_cell = (ctx.one() - z ** (ctx.p**m)).inv()
+    certified = min(m, z.prec)
+    return {n: (ctx.make(0, ref[n], ctx.A) * inv_cell).cap_abs(certified) for n in WEIGHTS}
+
+
 def locus_point(ctx, t, lift):
     """A unit z with residue from_int(t) (not 0 or 1) and higher digits ``lift``."""
     zbar = ctx.residue_field.from_int(t)
@@ -44,9 +55,9 @@ def locus_point(ctx, t, lift):
 
 
 @st.composite
-def fields(draw, max_k=3, min_A=1):
+def fields(draw, max_k=3, min_A=1, min_k=1):
     p = draw(st.sampled_from(PRIMES))
-    k = draw(st.integers(1, max_k))
+    k = draw(st.integers(min_k, max_k))
     A = draw(st.integers(min_A, 6))
     return p, k, A
 
@@ -59,8 +70,8 @@ def points(draw, p, k, A):
 
 
 @st.composite
-def measure_cases(draw):
-    p, k, A = draw(fields())
+def measure_cases(draw, **field_bounds):
+    p, k, A = draw(fields(**field_bounds))
     m = draw(st.integers(1, 4))
     t, lift = draw(points(p, k, A))
     return p, k, A, m, t, lift
@@ -83,12 +94,77 @@ def test_closed_form_matches_direct_loop(case):
     ctx = UnramifiedCtx(p, k, A)
     z = locus_point(ctx, t, lift)
     ev = PolylogEvaluator(ctx, m, max_weight=max(WEIGHTS))
-    ref = direct_measure_sums(ctx, z, WEIGHTS, m)
-    inv_cell = (ctx.one() - z ** (p**m)).inv()
-    certified = min(m, z.prec)
+    expected = direct_values(ctx, z, m)
     for n in WEIGHTS:
-        expected = (ctx.make(0, ref[n], A) * inv_cell).cap_abs(certified)
-        assert ev.li_p_riemann(z, n) == expected, n
+        assert ev.li_p_riemann(z, n) == expected[n], n
+
+
+def _count_measure_sums(monkeypatch) -> list:
+    calls = []
+    measure_sums = PolylogEvaluator._measure_sums
+
+    def counted(self, z, ns, m):
+        calls.append(z)
+        return measure_sums(self, z, ns, m)
+
+    monkeypatch.setattr(PolylogEvaluator, "_measure_sums", counted)
+    return calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(measure_cases(min_k=2, min_A=2))
+@example((3, 5, 4, 3, 100, (2, 0, 1, 5, 26)))  # F_{3^5}
+@example((5, 4, 3, 2, 200, (1, 2, 3, 4)))  # F_{5^4}
+@example((7, 3, 2, 4, 100, (3, 5, 1)))  # m > A
+def test_one_measure_sum_serves_the_frobenius_orbit(case):
+    # S(phi z) = phi S(z): after one call at z, every weight at every
+    # conjugate phi^i(z) is read from the memo, and equals both a fresh
+    # evaluator's value and the direct loop's, field for field
+    p, k, A, m, t, lift = case
+    ctx = UnramifiedCtx(p, k, A)
+    z = locus_point(ctx, t, lift)
+    assume(z != teichmuller(ctx, residue(z)))
+    conjugates = [z]
+    for _ in range(k - 1):
+        conjugates.append(conjugates[-1].frobenius())
+    ev = PolylogEvaluator(ctx, m, max_weight=max(WEIGHTS))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_measure_sums(monkeypatch)
+        ev.li_p_riemann(z, 2)
+        served = {i: {n: ev.li_p_riemann(zi, n) for n in WEIGHTS}
+                  for i, zi in enumerate(conjugates)}
+    assert len(calls) == 1
+    for i, zi in enumerate(conjugates):
+        fresh = PolylogEvaluator(ctx, m, max_weight=max(WEIGHTS))
+        expected = direct_values(ctx, zi, m)
+        for n in WEIGHTS:
+            assert served[i][n] == fresh.li_p_riemann(zi, n), (i, n)
+            assert served[i][n] == expected[n], (i, n)
+
+
+def _frobenius_orbits(p: int, k: int) -> int:
+    """The number of orbits of x -> x^p on F_{p^k} minus {0, 1}."""
+    field = FiniteField(p, k)
+    seen, orbits = set(), 0
+    for t in range(2, p**k):
+        x = field.from_int(t)
+        if x.coeffs in seen:
+            continue
+        orbits += 1
+        while x.coeffs not in seen:
+            seen.add(x.coeffs)
+            x = frobenius(x)
+    return orbits
+
+
+@pytest.mark.parametrize("p, k, sums", [(13, 2, 89), (7, 3, 117), (3, 5, 49), (13, 1, 11)])
+def test_corollary_makes_one_measure_sum_per_frobenius_orbit(monkeypatch, p, k, sums):
+    # a deterministic count, not a timing: 167, 341, 241 and 11 sums when
+    # each point of an orbit ran its own
+    assert _frobenius_orbits(p, k) == sums
+    calls = _count_measure_sums(monkeypatch)
+    assert check_corollary(p, k, ns=(1,))["pass"]
+    assert len(calls) == sums
 
 
 @settings(max_examples=30, deadline=None)
