@@ -117,6 +117,8 @@ class PolylogEvaluator:
         self._lip: dict = {}
         self._litilde: dict = {}
         self._g: dict = {}
+        self._li_at: dict = {}
+        self._log_at: dict = {}
 
     # -- Teichmuller points ---------------------------------------------------
 
@@ -284,11 +286,8 @@ class PolylogEvaluator:
         """p^{-n} Li_n(alpha); weight 0 is alpha/(1-alpha)."""
         key = (alpha.coeffs, n)
         if key not in self._litilde:
-            if n == 0:
-                val = alpha * (self.ctx.one() - alpha).inv()
-            else:
-                val = self.li_n_teich(alpha, n).shift(-n)
-            self._litilde[key] = val
+            self._litilde[key] = (alpha * (self.ctx.one() - alpha).inv() if n == 0
+                                  else self.li_n_teich(alpha, n).shift(-n))
         return self._litilde[key]
 
     # -- the disc series ----------------------------------------------------------
@@ -337,17 +336,23 @@ class PolylogEvaluator:
     # -- point values ---------------------------------------------------------------
 
     def li_n_at(self, x: XPoint, n: int) -> WittApprox:
-        """Li_n(z) via the disc series; weight 0 is z/(1-z) directly."""
+        """Li_n(z) via the disc series; weight 0 is z/(1-z) directly.  Memoized
+        per (alpha, w, n), so each (series, point) pair is evaluated once."""
         if n < 0:
             raise ValueError("weight must be >= 0")
-        if n == 0:
-            return x.z * (self.ctx.one() - x.z).inv()
-        g = self.g_series(x.alpha, n)
-        return g.eval_at(x.w, target=1).shift(n)
+        key = (x.alpha.coeffs, x.w.state, n)
+        if key not in self._li_at:
+            self._li_at[key] = (
+                x.z * (self.ctx.one() - x.z).inv() if n == 0
+                else self.g_series(x.alpha, n).eval_at(x.w, target=1).shift(n))
+        return self._li_at[key]
 
     def log_at(self, x: XPoint) -> WittApprox:
-        """log z; the Teichmuller factor contributes 0."""
-        return padic_log(self.ctx.one() + x.w.shift(1))
+        """log z; the Teichmuller factor contributes 0.  Memoized per w."""
+        key = x.w.state
+        if key not in self._log_at:
+            self._log_at[key] = padic_log(self.ctx.one() + x.w.shift(1))
+        return self._log_at[key]
 
     def _log_combination(self, x: XPoint, n: int, weights: list) -> WittApprox:
         """sum_k weights[k] log^k(z) Li_{n-k}(z), for rational weights."""
@@ -495,23 +500,25 @@ def check_corollary(
 
     At alphabar = -1 with n even the finite side vanishes, which forces one
     extra digit of valuation; that sharpening is asserted as well.  The lifts
-    alpha come from one walk of the unit group (``teichmuller_powers``);
-    the records stay in integer-encoding order of alphabar.
+    alpha come from one walk g^i of the unit group (``teichmuller_powers``),
+    and 1/(1 - alphabar) is read off the same walk, g^{-i} = g^{q-1-i}, once
+    per residue; the records stay in integer-encoding order of alphabar.
     """
-    for n in ns:
-        report_mod.check_weight("corollary", p, n, 1)
+    report_mod.check_weights("corollary", p, ns, 1)
     A = default_precision(max(ns)) if A is None else A
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=max(ns))
     field = ctx.residue_field
     minus_one = -field.one()
-    lifts = dict(zip(unit_powers(p, k), teichmuller_powers(ctx)))
+    walk = unit_powers(p, k)
+    lifts = dict(zip(walk, teichmuller_powers(ctx)))
+    inverse = dict(zip(walk, walk[:1] + walk[:0:-1]))  # 1/g^i = g^{q-1-i}
 
-    def measure(alphabar: FpkElement, n: int) -> dict:
+    def measure(alphabar: FpkElement, n: int, inv_one_minus: FpkElement) -> dict:
         li = ev.li_n_teich(lifts[alphabar.coeffs], n)
         val_ok = li.valuation_ge(n)
         lhs = residue(li.shift(-n))
-        rhs = -(li_finite(n, sigma(alphabar)) * (field.one() - alphabar).inverse())
+        rhs = -(li_finite(n, sigma(alphabar)) * inv_one_minus)
         rec = {"valuationOk": val_ok, "lhsResidue": list(lhs.coeffs),
                "rhsResidue": list(rhs.coeffs), "pass": val_ok and lhs == rhs}
         if alphabar == minus_one and n % 2 == 0:
@@ -519,14 +526,12 @@ def check_corollary(
             rec["pass"] = rec["pass"] and rec["extraValuationOk"]
         return rec
 
-    items = [({"alphabar": list(ab.coeffs), "n": n}, (ab, n))
-             for ab in map(field.from_int, range(2, p**k)) for n in ns]
-    return report_mod.assemble(
-        "corollary",
-        {"p": p, "k": k, "ns": list(ns), "A": A, "m": m},
-        ctx,
-        report_mod.records(items, measure),
-    )
+    items = []
+    for ab in map(field.from_int, range(2, p**k)):
+        inv = FpkElement(field, inverse[(field.one() - ab).coeffs])
+        items += [({"alphabar": list(ab.coeffs), "n": n}, (ab, n, inv)) for n in ns]
+    return report_mod.assemble("corollary", {"p": p, "k": k, "ns": list(ns), "A": A, "m": m},
+                               ctx, report_mod.records(items, measure))
 
 
 def check_maincong(

@@ -67,8 +67,7 @@ def inversion_check_report(p: int, k: int = 1, ns=(2, 3, 4, 5, 6)) -> dict:
     companion, which holds for every k); failing cells carry their
     counterexamples so the defect is visible, not hidden.
     """
-    for n in ns:
-        report_mod.check_weight("inversion", p, n, 2)
+    report_mod.check_weights("inversion", p, ns, 2)
     field = FiniteField(p, k)
 
     def measure(n: int) -> dict:

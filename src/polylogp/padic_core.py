@@ -12,6 +12,13 @@ valuation exactly, an approximate zero only certifies a lower bound, and
 comparisons are always "equal to certified precision".  No operation returns
 digits beyond what it can certify.
 
+The interval rules are written once, on raw states: a state is the triple
+(scale, vec, prec), with vec the zero vector when prec == 0, or None for the
+exact zero.  ``normalize`` is the canonical form (``make``), ``mul_states``
+and ``add_states`` the product and the sum.  ``WittApprox`` operators wrap
+them, and the series layer folds and maps states through them, so it builds
+a value only for a coefficient it keeps.
+
 ``WittApprox`` values are immutable by convention: no method mutates one,
 every operation returns a new value.  The class is a slotted dataclass, not
 a frozen one, because a run builds hundreds of thousands of them and a
@@ -103,24 +110,11 @@ class UnramifiedCtx:
 
     def make(self, scale: int, vec, rel: int) -> "WittApprox":
         """Normalize p^scale * vec + O(p^{scale+rel}) into canonical form."""
-        rel = min(rel, self.A)
-        if rel <= 0:
-            return WittApprox(self, scale + rel, self.zero_vec, 0, False)
-        pm = self.p**rel
-        vec = tuple(c % pm for c in vec)
-        j = rel
-        for c in vec:
-            if c:
-                j = min(j, int_val(c, self.p))
-                if j == 0:
-                    break
-        if j >= rel:
-            return WittApprox(self, scale + rel, self.zero_vec, 0, False)
-        if j:
-            pj = self.p**j
-            pmj = self.p ** (rel - j)
-            vec = tuple((c // pj) % pmj for c in vec)
-        return WittApprox(self, scale + j, vec, rel - j, False)
+        return self.wrap(normalize(self, scale, vec, rel))
+
+    def wrap(self, state) -> "WittApprox":
+        """The value of a raw state (``WittApprox.state``)."""
+        return self.exact_zero() if state is None else WittApprox(self, *state, False)
 
     def from_int(self, c: int) -> "WittApprox":
         if c == 0:
@@ -133,9 +127,7 @@ class UnramifiedCtx:
     def from_rational(self, q: Fraction | int) -> "WittApprox":
         q = Fraction(q)
         if q.denominator % self.p == 0:
-            raise ValueError(
-                f"denominator {q.denominator} is divisible by p={self.p}"
-            )
+            raise ValueError(f"denominator {q.denominator} is divisible by p={self.p}")
         if q == 0:
             return self.exact_zero()
         return self.from_int(q.numerator) * self.inv_int(q.denominator)
@@ -164,6 +156,67 @@ class UnramifiedCtx:
         return {"p": self.p, "k": self.k, "A": self.A, "hbar": list(self.hbar)}
 
 
+# -- the interval rules, on raw states (scale, vec, prec) or None ---------------
+
+
+def normalize(ctx: UnramifiedCtx, scale: int, vec, rel: int) -> tuple:
+    """p^scale * vec + O(p^{scale+rel}) in canonical form: rel capped at A,
+    vec reduced mod p^rel and its common power of p moved into the scale."""
+    if rel > ctx.A:
+        rel = ctx.A
+    if rel <= 0:
+        return scale + rel, ctx.zero_vec, 0
+    p = ctx.p
+    pm = p**rel
+    vec = tuple([c % pm for c in vec])
+    j = rel
+    for c in vec:
+        if c:
+            v = int_val(c, p)
+            if v < j:
+                j = v
+                if j == 0:
+                    break
+    if j >= rel:
+        return scale + rel, ctx.zero_vec, 0
+    if j:  # each entry is below p^rel, so its quotient is below p^(rel-j)
+        pj = p**j
+        vec = tuple([c // pj for c in vec])
+    return scale + j, vec, rel - j
+
+
+def mul_states(ctx: UnramifiedCtx, a, b):
+    """a * b: O(p^{sa+sb}) if a factor is an approximate zero, else to the
+    smaller relative precision."""
+    if a is None or b is None:
+        return None
+    sa, va, ra = a
+    sb, vb, rb = b
+    if not ra or not rb:
+        return sa + sb, ctx.zero_vec, 0
+    r = ra if ra < rb else rb
+    return sa + sb, poly_mul(va, vb, ctx.hbar, ctx.p**r), r
+
+
+def add_states(ctx: UnramifiedCtx, a, b):
+    """a + b to the smaller absolute precision n, normalized."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    sa, va, ra = a
+    sb, vb, rb = b
+    na, nb = sa + ra, sb + rb
+    # n - s <= A for s = min(sa, sb), the scale of an operand whose scale + prec
+    # is >= n; an approximate zero adds its zero vector, and n <= s gives O(p^n)
+    n = na if na < nb else nb
+    if sa <= sb:
+        f = ctx.p ** (sb - sa)
+        return normalize(ctx, sa, [x + f * y for x, y in zip(va, vb)], n - sa)
+    f = ctx.p ** (sa - sb)
+    return normalize(ctx, sb, [f * x + y for x, y in zip(va, vb)], n - sb)
+
+
 @dataclass(slots=True, unsafe_hash=True, repr=False)
 class WittApprox:
     """p^scale * coeffs + O(p^{scale+prec}), coeffs a unit vector mod p^prec.
@@ -190,17 +243,13 @@ class WittApprox:
         if self.exact:
             return math.inf
         if self.prec == 0:
-            raise PrecisionError(
-                f"valuation undetermined: value is O(p^{self.scale})"
-            )
+            raise PrecisionError(f"valuation undetermined: value is O(p^{self.scale})")
         return self.scale
 
     @property
     def min_valuation(self):
         """Certified lower bound on the valuation (inf for exact zero)."""
-        if self.exact:
-            return math.inf
-        return self.scale
+        return math.inf if self.exact else self.scale
 
     def valuation_ge(self, n: int) -> bool:
         """Certified test v_p(self) >= n; raises when undecidable."""
@@ -210,9 +259,12 @@ class WittApprox:
             return self.scale >= n
         if self.scale >= n:
             return True
-        raise PrecisionError(
-            f"cannot certify valuation >= {n}: value is O(p^{self.scale})"
-        )
+        raise PrecisionError(f"cannot certify valuation >= {n}: value is O(p^{self.scale})")
+
+    @property
+    def state(self):
+        """The raw state ``(scale, coeffs, prec)``, or None for the exact zero."""
+        return None if self.exact else (self.scale, self.coeffs, self.prec)
 
     # -- ring operations -----------------------------------------------------
 
@@ -222,38 +274,14 @@ class WittApprox:
 
     def __add__(self, other: "WittApprox") -> "WittApprox":
         self._check(other)
-        ctx = self.ctx
-        if self.exact:
-            return other
-        if other.exact:
-            return self
-        a, b = self, other
-        na, nb = a.abs_prec, b.abs_prec
-        n = min(na, nb)
-        if a.prec == 0 and b.prec == 0:
-            return ctx.zero_approx(n)
-        if a.prec == 0:
-            a, b = b, a
-        if b.prec == 0:
-            # unit + O(p^n)
-            if a.scale >= n:
-                return ctx.zero_approx(n)
-            return ctx.make(a.scale, a.coeffs, n - a.scale)
-        s = min(a.scale, b.scale)
-        fa = ctx.p ** (a.scale - s) if a.scale > s else 1
-        fb = ctx.p ** (b.scale - s) if b.scale > s else 1
-        # make reduces mod p^(n-s); n - s <= A, since s is the scale of an
-        # operand and n is at most that operand's scale + prec
-        vec = tuple(fa * x + fb * y for x, y in zip(a.coeffs, b.coeffs))
-        return ctx.make(s, vec, n - s)
+        return self.ctx.wrap(add_states(self.ctx, self.state, other.state))
 
     def __neg__(self) -> "WittApprox":
         if self.exact or self.prec == 0:
             return self
         pm = self.ctx.p**self.prec
-        return WittApprox(
-            self.ctx, self.scale, tuple((-c) % pm for c in self.coeffs), self.prec, False
-        )
+        vec = tuple((-c) % pm for c in self.coeffs)
+        return WittApprox(self.ctx, self.scale, vec, self.prec, False)
 
     def __sub__(self, other: "WittApprox") -> "WittApprox":
         return self + (-other)
@@ -262,14 +290,7 @@ class WittApprox:
         if isinstance(other, int):
             other = self.ctx.from_int(other)
         self._check(other)
-        ctx = self.ctx
-        if self.exact or other.exact:
-            return ctx.exact_zero()
-        if self.prec == 0 or other.prec == 0:
-            return ctx.zero_approx(self.min_valuation + other.min_valuation)
-        r = min(self.prec, other.prec)
-        vec = poly_mul(self.coeffs, other.coeffs, ctx.hbar, ctx.p**r)
-        return WittApprox(ctx, self.scale + other.scale, vec, r, False)
+        return self.ctx.wrap(mul_states(self.ctx, self.state, other.state))
 
     __rmul__ = __mul__
 
@@ -336,10 +357,6 @@ class WittApprox:
             return self.ctx.zero_approx(n)
         if self.abs_prec <= n:
             return self
-        if self.prec == 0:
-            return self.ctx.zero_approx(min(self.scale, n))
-        if self.scale >= n:
-            return self.ctx.zero_approx(n)
         return self.ctx.make(self.scale, self.coeffs, n - self.scale)
 
     # -- reductions and comparisons -------------------------------------------

@@ -13,6 +13,11 @@ slope to at most v_p(q); ``scalar_mul(c)`` adds v_p(c) to the offset;
 ``integrate(slope, offset)`` installs the bound its caller proves for the
 antiderivative of the exact function it expands.  Constructors that know a
 sharper bound for a series may also install it with ``with_tail``.
+
+One fold, h_j = c_j + q*h_{j-1}, is both ``over_linear`` and the Horner loop
+of ``eval_at``; one map, c_j * f_j, is both ``scalar_mul`` and ``integrate``.
+Both run the interval rules of ``padic_core`` on raw states, taking the steps
+of the per-operation loops, and build a value only for a kept coefficient.
 """
 
 from __future__ import annotations
@@ -21,7 +26,24 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic_core import PrecisionError, UnramifiedCtx, WittApprox
+from .padic_core import PrecisionError, UnramifiedCtx, WittApprox, add_states, mul_states
+
+
+def fold(q: WittApprox, coeffs) -> list:
+    """The states h_0 = c_0, h_j = c_j + q*h_{j-1} of the values ``coeffs``."""
+    ctx = q.ctx
+    qs = q.state
+    h = coeffs[0].state
+    out = [h]
+    for c in coeffs[1:]:
+        h = add_states(ctx, c.state, mul_states(ctx, qs, h))
+        out.append(h)
+    return out
+
+
+def scale_each(ctx: UnramifiedCtx, coeffs, factors) -> list:
+    """The values c_j * f_j, by the product rule on raw states."""
+    return [ctx.wrap(mul_states(ctx, c.state, f.state)) for c, f in zip(coeffs, factors)]
 
 
 @dataclass(frozen=True)
@@ -78,13 +100,8 @@ class TruncSeries:
                 raise ValueError("more coefficients than the requested order")
             coeffs += [ctx.exact_zero()] * (order + 1 - len(coeffs))
         slope = Fraction(slope)
-        offset = None
-        for j, c in enumerate(coeffs):
-            mv = c.min_valuation
-            if mv is math.inf:
-                continue
-            cand = Fraction(mv) - slope * j
-            offset = cand if offset is None else min(offset, cand)
+        cands = [Fraction(c.scale) - slope * j for j, c in enumerate(coeffs) if not c.exact]
+        offset = min(cands) if cands else None
         return TruncSeries(ctx, var, coeffs, TailBound(slope, offset))
 
     def with_tail(self, slope, offset) -> "TruncSeries":
@@ -95,23 +112,28 @@ class TruncSeries:
 
     # -- arithmetic ------------------------------------------------------------
 
+    def _check(self, x: WittApprox):
+        if x.ctx != self.ctx:
+            raise ValueError("operand from a different context")
+
     def over_linear(self, q: WittApprox) -> "TruncSeries":
         """self / (1 - q*var) by h_j = c_j + q*h_{j-1}; needs v_p(q) >= 0 known
         exactly (or q = 0)."""
+        self._check(q)
         if q.exact:
             return self
         v = q.valuation()
         if v < 0:
             raise ValueError(f"1/(1 - q*{self.var}) diverges on the unit disc: v_p(q) = {v}")
-        coeffs = [self.coeffs[0]]
-        for c in self.coeffs[1:]:
-            coeffs.append(c + q * coeffs[-1])
+        coeffs = [self.ctx.wrap(h) for h in fold(q, self.coeffs)]
         tail = TailBound(min(self.tail.slope, Fraction(v)), self.tail.offset)
         return TruncSeries(self.ctx, self.var, coeffs, tail)
 
     def scalar_mul(self, c: WittApprox) -> "TruncSeries":
+        self._check(c)
         tail = self.tail.shift_offset(c.min_valuation)
-        return TruncSeries(self.ctx, self.var, [c * x for x in self.coeffs], tail)
+        coeffs = scale_each(self.ctx, self.coeffs, [c] * len(self.coeffs))
+        return TruncSeries(self.ctx, self.var, coeffs, tail)
 
     def integrate(self, slope, offset) -> "TruncSeries":
         """Antiderivative with constant term 0, truncated to the same order,
@@ -124,12 +146,9 @@ class TruncSeries:
         is Newton-lifted once per context, not once per integration.
         """
         ctx = self.ctx
-        coeffs = [ctx.exact_zero()]
-        for j, c in enumerate(self.coeffs[:-1], 1):
-            coeffs.append(c * ctx.inv_int(j))
-        return TruncSeries(
-            ctx, self.var, coeffs, TailBound(Fraction(slope), Fraction(offset))
-        )
+        inverses = [ctx.inv_int(j) for j in range(1, len(self.coeffs))]
+        coeffs = [ctx.exact_zero(), *scale_each(ctx, self.coeffs[:-1], inverses)]
+        return TruncSeries(ctx, self.var, coeffs, self.tail).with_tail(slope, offset)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -142,9 +161,7 @@ class TruncSeries:
             return math.floor(sigma * (self.order + 1) + self.tail.offset)
         if sigma == 0:
             return math.floor(self.tail.offset)
-        raise PrecisionError(
-            "tail bound diverges on the unit disc (negative combined slope)"
-        )
+        raise PrecisionError("tail bound diverges on the unit disc (negative combined slope)")
 
     def eval_at(self, w: WittApprox, target: int) -> WittApprox:
         """Horner evaluation certified to absolute precision >= target.
@@ -152,8 +169,7 @@ class TruncSeries:
         Raises PrecisionError when the tail cannot be certified below
         p^-target at this truncation order (rebuild with larger M).
         """
-        if w.ctx != self.ctx:
-            raise ValueError("evaluation point from a different context")
+        self._check(w)
         if not w.exact and w.min_valuation < 0:
             raise ValueError("evaluation requires |w| <= 1 (nonnegative valuation)")
         if w.exact:
@@ -164,9 +180,7 @@ class TruncSeries:
                 f"tail certifies only O(p^{tail_v}) < requested O(p^{target}); "
                 f"increase the truncation order (currently {self.order})"
             )
-        acc = self.coeffs[-1]
-        for j in range(self.order - 1, -1, -1):
-            acc = acc * w + self.coeffs[j]
+        acc = self.ctx.wrap(fold(w, self.coeffs[::-1])[-1])
         if tail_v is not None:
             acc = acc.cap_abs(tail_v)
         return acc
@@ -174,17 +188,9 @@ class TruncSeries:
     # -- introspection -------------------------------------------------------
 
     def debug_info(self) -> dict:
-        vals = []
-        for j, c in enumerate(self.coeffs):
-            mv = c.min_valuation
-            vals.append(
-                {
-                    "j": j,
-                    "minValuation": None if mv is math.inf else int(mv),
-                    "absPrec": c.abs_prec,
-                    "exactZero": c.exact,
-                }
-            )
+        vals = [{"j": j, "minValuation": None if c.exact else c.scale,
+                 "absPrec": c.abs_prec, "exactZero": c.exact}
+                for j, c in enumerate(self.coeffs)]
         return {
             "var": self.var,
             "order": self.order,

@@ -33,6 +33,14 @@ def check_weight(command: str, p: int, n: int, low: int, gap: int | None = None)
         raise ConfigError(f"{command} needs p > n+{gap}, got p={p}, n={n}")
 
 
+def check_weights(command: str, p: int, ns, low: int) -> None:
+    """``check_weight`` on each weight of ``ns``, which must not repeat one."""
+    for i, n in enumerate(ns):
+        check_weight(command, p, n, low)
+        if n in ns[:i]:
+            raise ConfigError(f"{command} lists the weight {n} twice")
+
+
 def check_order(command: str, M: int | None) -> None:
     """Raise ConfigError for a series truncation order M < 1 (None is the default)."""
     if M is not None and M < 1:
@@ -93,8 +101,6 @@ def witt_from_record(ctx: UnramifiedCtx, rec: dict) -> WittApprox:
     if not (_int_list(rec["coeffs"], ctx.k) and _int_list([rec["scale"], rec["prec"]], 2)):
         raise ConfigError(f"a p-adic value needs {ctx.k} integer coeffs and "
                           "integer scale and prec")
-    if rec["prec"] == 0:
-        return ctx.zero_approx(rec["scale"])
     return ctx.make(rec["scale"], tuple(rec["coeffs"]), rec["prec"])
 
 

@@ -321,6 +321,10 @@ def test_flag_a_check_does_not_take_exits_two(capsys, case):
     *[((name, "--seed", "99", "--replay", THEOREM_RECORD),
        "--seed cannot be combined with --replay")
       for name, spec in CHECKS.items() if "points" in spec.knobs],
+    # a repeated weight would duplicate its records
+    (("corollary", "--p", "5", "--ns", "1,1"), "corollary lists the weight 1 twice"),
+    (("inversion", "--p", "5", "--k", "1", "--ns", "2,2"),
+     "inversion lists the weight 2 twice"),
 ])
 def test_invalid_configuration_exits_two(tmp_path, capsys, argv, message):
     argv = list(argv)

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from polylogp import coleman, finite_poly, padic_core
+from polylogp.matrix import CHECKS
+from polylogp.power_series import TruncSeries
 from polylogp.coleman import (
     PolylogEvaluator,
     XPoint,
@@ -186,6 +188,50 @@ def test_corollary_ring_work_is_bounded(monkeypatch):
         monkeypatch.setattr(module, "poly_mul", counted)
     assert check_corollary(5, 3, ns=(2,))["pass"]
     assert len(calls) <= COROLLARY_POLY_MUL_BOUND, len(calls)
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 2), (3, 3), (5, 3)])
+def test_corollary_reads_its_inverses_off_the_unit_walk(monkeypatch, p, k):
+    # 1/(1 - alphabar) is g^{q-1-i} for 1 - alphabar = g^i; a wrong power of
+    # the walk would fail the records
+    calls = []
+    inverse = finite_poly.FpkElement.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(finite_poly.FpkElement, "inverse", counted)
+    assert check_corollary(p, k, ns=(1, 2))["pass"]
+    assert calls == []
+
+
+# (eval_at, padic_log) calls over the full cells of each check: funceq made
+# (1,680, 800) and e-recover (210, 120) before the evaluator memoized li_n_at
+# and log_at, and delprop (520, 220)
+EVALUATIONS_PER_CHECK = {"funceq": (920, 320), "e-recover": (80, 30), "delprop": (520, 110)}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATIONS_PER_CHECK))
+def test_each_series_and_point_pair_is_evaluated_once(monkeypatch, name):
+    # a deterministic count, not a timing
+    calls = {"eval_at": 0, "padic_log": 0}
+    eval_at, padic_log = TruncSeries.eval_at, coleman.padic_log
+
+    def counted_eval(self, w, target):
+        calls["eval_at"] += 1
+        return eval_at(self, w, target)
+
+    def counted_log(u):
+        calls["padic_log"] += 1
+        return padic_log(u)
+
+    monkeypatch.setattr(TruncSeries, "eval_at", counted_eval)
+    monkeypatch.setattr(coleman, "padic_log", counted_log)
+    spec = CHECKS[name]
+    for cell in spec.full:
+        assert spec.run(**cell)["pass"], cell
+    assert (calls["eval_at"], calls["padic_log"]) == EVALUATIONS_PER_CHECK[name]
 
 
 def test_even_weight_at_minus_one_gains_a_digit():

@@ -284,6 +284,90 @@ def test_over_linear_times_the_linear_factor_gives_back_the_series(case):
         assert (a - b).valuation_ge(ctx.A)
 
 
+# -- the interval kernel against the per-operation loops -------------------------
+#
+# ``over_linear``, ``eval_at``, ``scalar_mul`` and ``integrate`` fold and map
+# raw states; these loops take the same steps on values, one operator at a
+# time, and every field of every result must agree.
+
+
+def loop_over_linear(coeffs, q):
+    out = [coeffs[0]]
+    for c in coeffs[1:]:
+        out.append(c + q * out[-1])
+    return out
+
+
+def loop_horner(coeffs, w):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * w + c
+    return acc
+
+
+def loop_scalar_mul(coeffs, c):
+    return [c * x for x in coeffs]
+
+
+def loop_integrate(coeffs):
+    ctx = coeffs[0].ctx
+    return [ctx.exact_zero(), *(c * ctx.inv_int(j) for j, c in enumerate(coeffs[:-1], 1))]
+
+
+def _fields(x):
+    return x.scale, x.coeffs, x.prec, x.exact
+
+
+@st.composite
+def interval_values(draw, ctx, min_scale=-3):
+    """An exact zero, an approximate zero O(p^s), or a value of either sign of
+    scale whose relative precision may be below A."""
+    kind = draw(st.sampled_from(("exact", "approx", "value", "value")))
+    if kind == "exact":
+        return ctx.exact_zero()
+    scale = draw(st.integers(min_scale, 3))
+    if kind == "approx":
+        return ctx.zero_approx(scale)
+    vec = tuple(draw(st.integers(0, ctx.pA - 1)) for _ in range(ctx.k))
+    return ctx.make(scale, vec, draw(st.integers(1, ctx.A)))
+
+
+@st.composite
+def kernel_cases(draw):
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    k = draw(st.integers(1, 3))
+    ctx = UnramifiedCtx(p, k, draw(st.integers(1, 6)))
+    coeffs = draw(st.lists(interval_values(ctx), min_size=1, max_size=8))
+    q = draw(interval_values(ctx, min_scale=0).filter(lambda x: x.exact or x.prec))
+    w = draw(interval_values(ctx, min_scale=0))
+    c = draw(interval_values(ctx))
+    tail = draw(st.sampled_from((TailBound.zero_series(), TailBound(Fraction(1), Fraction(-1)),
+                                 TailBound(Fraction(1, 2), Fraction(2)))))
+    return ctx, TruncSeries(ctx, "w", coeffs, tail), q, w, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_interval_kernel_takes_the_steps_of_the_operator_loops(case):
+    ctx, s, q, w, c = case
+    coeffs = list(s.coeffs)
+    pairs = [
+        (s.over_linear(q).coeffs, loop_over_linear(coeffs, q) if not q.exact else coeffs),
+        (s.scalar_mul(c).coeffs, loop_scalar_mul(coeffs, c)),
+        (s.integrate(0, 0).coeffs, loop_integrate(coeffs)),
+    ]
+    for got, want in pairs:
+        assert [_fields(x) for x in got] == [_fields(x) for x in want]
+    if w.exact:
+        want = coeffs[0]
+    else:
+        want = loop_horner(coeffs, w)
+        tail_v = s.tail_valuation_at(w.min_valuation)
+        if tail_v is not None:
+            want = want.cap_abs(tail_v)
+    assert _fields(s.eval_at(w, target=-10)) == _fields(want)
+
+
 def test_over_linear_rejects_ratios_off_the_unit_disc():
     ctx = UnramifiedCtx(5, 1, 4)
     s = TruncSeries.from_coeffs(ctx, "w", [ctx.one()], order=3)
