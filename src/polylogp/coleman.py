@@ -37,10 +37,6 @@ from .rng import SplitMix64
 from . import report as report_mod
 
 
-# digits to which the tolerance checks (funceq, delprop, e-recover) compare
-CHECK_DIGITS = 3
-
-
 def default_precision(n: int) -> int:
     """Working digits A for weight-n verification: n plus guard digits."""
     return n + 4
@@ -91,17 +87,19 @@ class PolylogEvaluator:
     ``riemann_m`` fixes the measure-sum modulus (certified error p^-m);
     ``max_weight`` is the largest weight the run needs, so one measure-sum
     evaluation per point serves every weight at once; ``series_order`` is the
-    disc-series truncation M, by default enough for weight ``max_weight``.
+    disc-series truncation M.  Both default to enough for weight ``max_weight``.
     """
 
     def __init__(
         self,
         ctx: UnramifiedCtx,
-        riemann_m: int,
+        riemann_m: int | None = None,
         max_weight: int = 4,
         series_order: int | None = None,
         trace=None,
     ):
+        if riemann_m is None:
+            riemann_m = default_riemann_m(max_weight)
         if riemann_m < 1:
             raise ValueError("riemann modulus must be >= 1")
         if series_order is None:
@@ -356,14 +354,7 @@ class PolylogEvaluator:
 
     def _log_combination(self, x: XPoint, n: int, weights: list) -> WittApprox:
         """sum_k weights[k] log^k(z) Li_{n-k}(z), for rational weights."""
-        ctx = self.ctx
-        logz = self.log_at(x)
-        acc = ctx.exact_zero()
-        logpow = ctx.one()
-        for k, c in enumerate(weights):
-            acc = acc + ctx.from_rational(c) * logpow * self.li_n_at(x, n - k)
-            logpow = logpow * logz
-        return acc
+        return log_sum(self.ctx, self.log_at(x), weights, lambda k: self.li_n_at(x, n - k))
 
     def big_l_at(self, x: XPoint, n: int) -> WittApprox:
         """sum_{m=0}^{n-1} (-1)^m/m! Li_{n-m}(z) log^m(z); needs p > n."""
@@ -385,6 +376,21 @@ class PolylogEvaluator:
         a = a_coeffs(n) + [Fraction(0)]  # a_n = 0
         weights = [a[k] + (k + 1) * a[k + 1] for k in range(n)]
         return (self.ctx.one() - x.z) * self._log_combination(x, n - 1, weights)
+
+
+def log_sum(ctx: UnramifiedCtx, logz: WittApprox, weights: list, value) -> WittApprox:
+    """sum_j weights[j] log^j(z) value(j), for rational weights: the one
+    log-weighted sum of L_n, F_n, D F_n and the Section-3 difference formula.
+    ``value(j)`` is evaluated only where weights[j] != 0."""
+    acc = ctx.exact_zero()
+    logpow, power = ctx.one(), 0
+    for j, c in enumerate(weights):
+        if c:
+            for _ in range(power, j):
+                logpow = logpow * logz
+            power = j
+            acc = acc + ctx.from_rational(c) * logpow * value(j)
+    return acc
 
 
 # -- verification drivers ------------------------------------------------------------
@@ -414,8 +420,6 @@ def verify_theorem(
     report_mod.check_weight("theorem", p, n, 2, gap=1)
     report_mod.check_order("theorem", M)
     A = default_precision(n) if A is None else A
-    m = default_riemann_m(n) if m is None else m
-    M = default_series_order(p, n, A) if M is None else M
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n, series_order=M, trace=trace)
 
@@ -426,8 +430,7 @@ def verify_theorem(
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
         val_ok, lhs = reduction(zbar, w)
         rhs = li_finite(n - 1, sigma(zbar))
-        return {"valuationOk": val_ok, "lhsResidue": list(lhs.coeffs),
-                "rhsResidue": list(rhs.coeffs), "pass": val_ok and lhs == rhs}
+        return {"valuationOk": val_ok, **report_mod.residue_record(lhs, rhs, val_ok)}
 
     def w_independence(records: list, rng: SplitMix64) -> dict:
         # same residue, two different disc coordinates
@@ -452,8 +455,8 @@ def verify_theorem(
         return {"wIndependence": windep, "pass": windep["pass"]}
 
     return report_mod.sampled_report(
-        "theorem", {"p": p, "n": n, "k": k, "A": A, "m": m, "M": M}, ctx, measure,
-        samples, seed, jobs, points, finish=w_independence,
+        "theorem", {"p": p, "n": n, "k": k, "A": A, "m": ev.m, "M": ev.series_order}, ctx,
+        measure, samples, seed, jobs, points, finish=w_independence,
     )
 
 
@@ -471,7 +474,6 @@ def check_prop_reduction(
     """Riemann-sum integral mod p against li_n(zbar)/(1 - zbar^p) in F_{p^k}."""
     report_mod.check_weight("proposition1", p, n, 0)
     A = default_precision(n) if A is None else A
-    m = default_riemann_m(n) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n)
     field = ctx.residue_field
@@ -479,11 +481,10 @@ def check_prop_reduction(
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
         lhs = residue(ev.li_p_riemann(ev.xpoint(zbar, w).z, n))
         rhs = li_finite(n, zbar) * (field.one() - frobenius(zbar)).inverse()
-        return {"lhsResidue": list(lhs.coeffs), "rhsResidue": list(rhs.coeffs),
-                "pass": lhs == rhs}
+        return report_mod.residue_record(lhs, rhs)
 
     return report_mod.sampled_report(
-        "proposition1", {"p": p, "n": n, "k": k, "A": A, "m": m}, ctx, measure,
+        "proposition1", {"p": p, "n": n, "k": k, "A": A, "m": ev.m}, ctx, measure,
         samples, seed, jobs, points,
     )
 
@@ -519,8 +520,7 @@ def check_corollary(
         val_ok = li.valuation_ge(n)
         lhs = residue(li.shift(-n))
         rhs = -(li_finite(n, sigma(alphabar)) * inv_one_minus)
-        rec = {"valuationOk": val_ok, "lhsResidue": list(lhs.coeffs),
-               "rhsResidue": list(rhs.coeffs), "pass": val_ok and lhs == rhs}
+        rec = {"valuationOk": val_ok, **report_mod.residue_record(lhs, rhs, val_ok)}
         if alphabar == minus_one and n % 2 == 0:
             rec["extraValuationOk"] = li.valuation_ge(n + 1)
             rec["pass"] = rec["pass"] and rec["extraValuationOk"]
@@ -551,7 +551,6 @@ def check_maincong(
     report_mod.check_weight("maincong", p, n, 0, gap=1)
     report_mod.check_order("maincong", M)
     A = default_precision(n) if A is None else A
-    m = default_riemann_m(n) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n, series_order=M)
     field = ctx.residue_field
@@ -566,12 +565,11 @@ def check_maincong(
         for j in range(n + 1):
             rhs = rhs + residue(ev.li_tilde(x.alpha, n - j)) * wpow * inv_fact[j]
             wpow = wpow * wbar
-        return {"lhsResidue": list(lhs.coeffs), "rhsResidue": list(rhs.coeffs),
-                "pass": lhs == rhs}
+        return report_mod.residue_record(lhs, rhs)
 
     # an explicit order is recorded so that a replay keeps it; the default
     # order follows from p, n and A
-    params = {"p": p, "n": n, "k": k, "A": A, "m": m}
+    params = {"p": p, "n": n, "k": k, "A": A, "m": ev.m}
     if M is not None:
         params["M"] = M
     return report_mod.sampled_report(
@@ -606,7 +604,6 @@ def check_g_valuations(
     if count < 1:
         raise report_mod.ConfigError(f"g-valuation needs at least one residue, got {count}")
     A = default_precision(n) if A is None else A
-    m = default_riemann_m(n) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n, series_order=M)
     rng = SplitMix64(seed)
@@ -634,7 +631,7 @@ def check_g_valuations(
     items = [({"zbar": list(zbar.coeffs)}, (zbar,)) for zbar in residues]
     # an explicit order is recorded, as in maincong; the default order
     # follows from p, n and A
-    params = {"p": p, "n": n, "k": k, "A": A, "m": m, "count": len(residues), "seed": seed}
+    params = {"p": p, "n": n, "k": k, "A": A, "m": ev.m, "count": len(residues), "seed": seed}
     if M is not None:
         params["M"] = M
     return report_mod.assemble(
@@ -656,7 +653,6 @@ def check_functional_equation(
     """F_n(z) + (-1)^n F_n(1/z) = 0 and F_n = -n L_n - L_{n-1} log z."""
     report_mod.check_weight("funceq", p, n, 2, gap=1)
     A = default_precision(n) if A is None else A
-    m = default_riemann_m(n) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n)
     sign = (-1) ** n
@@ -665,15 +661,15 @@ def check_functional_equation(
         x = ev.xpoint(zbar, w)
         fz = ev.f_n_at(x, n)
         finv = ev.f_n_at(x.inverse_point(), n)
-        inversion_ok = (fz + ctx.from_int(sign) * finv).valuation_ge(CHECK_DIGITS)
+        inversion_ok = report_mod.agree(fz, ctx.from_int(-sign) * finv)
         logz = ev.log_at(x)
         viaL = ctx.from_int(-n) * ev.big_l_at(x, n) - ev.big_l_at(x, n - 1) * logz
-        l_route_ok = (fz - viaL).valuation_ge(CHECK_DIGITS)
+        l_route_ok = report_mod.agree(fz, viaL)
         return {"inversionOk": inversion_ok, "lRouteOk": l_route_ok,
                 "pass": inversion_ok and l_route_ok}
 
     return report_mod.sampled_report(
         "functional-equation",
-        {"p": p, "n": n, "k": k, "A": A, "m": m, "checkDigits": CHECK_DIGITS},
+        {"p": p, "n": n, "k": k, "A": A, "m": ev.m, "checkDigits": report_mod.CHECK_DIGITS},
         ctx, measure, samples, seed, jobs, points,
     )

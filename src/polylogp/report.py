@@ -3,6 +3,9 @@
 Reports are plain dicts with a fixed schema version.  Every check builds its
 per-sample records with the one record loop, ``records``: it numbers them
 and turns a ``PrecisionError`` into a failing ``precisionShortfall`` record.
+Each check ends in one of two comparisons, built here: ``residue_record``,
+two residues equal in F_{p^k}, or ``value_record``, two p-adic sides that
+``agree`` to ``CHECK_DIGITS`` digits (funceq calls ``agree`` directly).
 JSON output is canonical (sorted keys, fixed separators, no timestamps), so
 identical configurations produce byte-identical reports.
 """
@@ -19,6 +22,7 @@ from .rng import SplitMix64
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20260809  # the default seed of every sampled driver and of the matrix
+CHECK_DIGITS = 3  # digits to which the tolerance checks compare
 
 
 class ConfigError(ValueError):
@@ -61,6 +65,23 @@ def records(items, measure) -> list:
             rec["pass"] = False
         out.append(rec)
     return out
+
+
+def agree(lhs: WittApprox, rhs: WittApprox) -> bool:
+    """The tolerance test: v_p(lhs - rhs) >= CHECK_DIGITS, certified."""
+    return (lhs - rhs).valuation_ge(CHECK_DIGITS)
+
+
+def residue_record(lhs: FpkElement, rhs: FpkElement, ok: bool = True) -> dict:
+    """The residue comparison lhs == rhs in F_{p^k}; its ``pass`` also needs
+    ``ok``, a check's further condition."""
+    return {"lhsResidue": list(lhs.coeffs), "rhsResidue": list(rhs.coeffs),
+            "pass": ok and lhs == rhs}
+
+
+def value_record(lhs: WittApprox, rhs: WittApprox) -> dict:
+    """The tolerance comparison of two p-adic sides."""
+    return {"lhs": lhs.to_record(), "rhs": rhs.to_record(), "pass": agree(lhs, rhs)}
 
 
 def assemble(command: str, params: dict, ctx: UnramifiedCtx | None, records: list,
@@ -137,13 +158,13 @@ def sample_w(ctx: UnramifiedCtx, rng: SplitMix64) -> WittApprox:
 
 def sampled_report(command: str, params: dict, ctx: UnramifiedCtx, measure,
                    samples: int, seed: int, jobs: int = 1, points: list | None = None,
-                   with_wz: bool = False, finish=None) -> dict:
+                   names: tuple = ("w",), finish=None) -> dict:
     """The sampled driver shared by every sampled check.
 
     Point i is replayed from ``points[i]``, or drawn from ``fork(i)`` of the
-    seed's stream: a residue zbar, then the disc coordinate w (``wz`` and w
-    when ``with_wz``).  ``measure(zbar, [wz,] w)`` returns the check's fields
-    and its ``pass``, under the guard of ``records``.  ``finish(records,
+    seed's stream: a residue zbar, then a disc coordinate for each record
+    field in ``names``.  ``measure(zbar, *coordinates)`` returns the check's
+    fields and its ``pass``, under the guard of ``records``.  ``finish(records,
     rng)``, if given, returns report-level fields whose ``pass`` joins the
     records' verdict; a PrecisionError there too becomes a report-level
     ``precisionShortfall``.  The records are measured serially, so ``jobs``
@@ -155,7 +176,6 @@ def sampled_report(command: str, params: dict, ctx: UnramifiedCtx, measure,
     if jobs != 1:
         raise ConfigError(f"{command} runs serially: jobs must be 1, got {jobs}")
     rng = SplitMix64(seed)
-    names = ("wz", "w") if with_wz else ("w",)
     if points is None:
         forks = [rng.fork(i) for i in range(count)]
         drawn = [(sample_zbar(ctx, r), *[sample_w(ctx, r) for _ in names]) for r in forks]

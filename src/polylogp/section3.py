@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coleman import CHECK_DIGITS, PolylogEvaluator, XPoint, default_precision, default_riemann_m
+from .coleman import PolylogEvaluator, XPoint, default_precision, log_sum
 from .finite_poly import FpkElement
 from .identities import e_coeffs
 from .padic_core import UnramifiedCtx, WittApprox, residue, teichmuller
@@ -102,81 +102,29 @@ def delprop_check(
     report_mod.check_weight("delprop", p, n, 0, gap=2)
     report_mod.check_order("delprop", M)
     A = default_precision(n + 1) if A is None else A
-    m = default_riemann_m(n + 1) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n + 1)
     Mf = default_f_order(A, n + 1) if M is None else M
-    binoms = [math.comb(n, kk) for kk in range(n + 1)]
-    facts = [math.factorial(kk) for kk in range(n + 2)]
+    # the weight of log^j(S) f_{n+1-j} is (-1)^{n-j} (n-j)! C(n, n-j) = (-1)^{n-j} n!/j!
+    weights = [(-1) ** (n - j) * math.perm(n, n - j) for j in range(n + 1)]
 
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
-        alpha = ev.teich(zbar)
-        x = XPoint.from_alpha_w(ctx, alpha, w)
-        fs = f_series(ctx, alpha, n + 1, Mf)
-        u = (alpha * w).shift(1)  # S - z = alpha p w
+        x = ev.xpoint(zbar, w)
+        fs = f_series(ctx, x.alpha, n + 1, Mf)
+        u = (x.alpha * w).shift(1)  # S - z = alpha p w
         logS = ev.log_at(x)
-        lhs = ctx.exact_zero()
-        logpow = ctx.one()
         fvals = [fs[kk + 1].series.eval_at(u, target=1) for kk in range(n + 1)]
-        for kk in range(n, -1, -1):
-            sign = -1 if kk % 2 else 1
-            term = ctx.from_int(sign * facts[kk] * binoms[kk]) * fvals[kk] * logpow
-            lhs = lhs + term
-            logpow = logpow * logS
-        lhs = -lhs
-        l_at_alpha = ev.li_tilde(alpha, n + 1).shift(n + 1)
+        lhs = -log_sum(ctx, logS, weights, lambda j: fvals[n - j])
+        l_at_alpha = ev.li_tilde(x.alpha, n + 1).shift(n + 1)
         l_at_s = ev.big_l_at(x, n + 1)
-        rhs = ctx.from_int((-1) ** n * facts[n]) * (l_at_alpha - l_at_s)
-        return {"lhs": lhs.to_record(), "rhs": rhs.to_record(),
-                "pass": (lhs - rhs).valuation_ge(CHECK_DIGITS)}
+        rhs = ctx.from_int((-1) ** n * math.factorial(n)) * (l_at_alpha - l_at_s)
+        return report_mod.value_record(lhs, rhs)
 
     return report_mod.sampled_report(
-        "delprop",
-        {"p": p, "n": n, "k": k, "A": A, "m": m, "M": Mf, "checkDigits": CHECK_DIGITS},
+        "delprop", {"p": p, "n": n, "k": k, "A": A, "m": ev.m, "M": Mf,
+                    "checkDigits": report_mod.CHECK_DIGITS},
         ctx, measure, samples, seed, jobs, points,
     )
-
-
-def f_congruence_check(ctx: UnramifiedCtx, z: WittApprox, w: WittApprox, n: int,
-                       M: int | None = None, fs: list | None = None) -> dict:
-    """Single-point congruence p^{-n} f_n(z, z(1+pw)) = (z/(1-z)) w^n/n! mod p."""
-    if ctx.p <= n + 1:
-        raise report_mod.ConfigError(f"needs p > n+1, got p={ctx.p}, n={n}")
-    field = ctx.residue_field
-    if fs is None:
-        fs = f_series(ctx, z, max(n, 1), M)
-    u = (z * w).shift(1)  # S - z = z p w
-    fval = fs[n].series.eval_at(u, target=1)
-    lhs = residue(fval.shift(-n))
-    rhs = (
-        residue(z * (ctx.one() - z).inv())
-        * (residue(w) ** n)
-        * field.element(math.factorial(n) % ctx.p).inverse()
-    )
-    return {
-        "lhsResidue": list(lhs.coeffs),
-        "rhsResidue": list(rhs.coeffs),
-        "pass": lhs == rhs,
-    }
-
-
-def df_lemma_check(ctx: UnramifiedCtx, z: WittApprox, w: WittApprox, korder: int,
-                   M: int | None = None, fs: list | None = None) -> dict:
-    """Single-point valuation bound v_p(Df_k) >= k at (z, S = z(1+pw)).
-
-    Uses d/dS f_k = f_{k-1}/S, so S(1-S) d/dS contributes (1-S) f_{k-1},
-    plus the maintained partial in z."""
-    if korder < 1:
-        raise report_mod.ConfigError("the derivation bound needs order >= 1")
-    if fs is None:
-        fs = f_series(ctx, z, korder, M)
-    u = (z * w).shift(1)
-    s_pt = z * (ctx.one() + w.shift(1))
-    fprev = fs[korder - 1].series.eval_at(u, target=1)
-    dzval = fs[korder].dz_series.eval_at(u, target=1)
-    df = (ctx.one() - s_pt) * fprev + z * (ctx.one() - z) * dzval
-    return {"order": korder, "valuationOk": df.valuation_ge(korder),
-            "pass": df.valuation_ge(korder)}
 
 
 def f_lemmas_check(
@@ -190,27 +138,34 @@ def f_lemmas_check(
     jobs: int = 1,
     points: list | None = None,
 ) -> dict:
-    """Sampled driver over both single-point lemmas: the f_n congruence and
-    the v_p(Df_k) >= k bound at k = max(n, 1)."""
+    """Sampled driver over both single-point lemmas at z and S = z(1+pw):
+    the congruence p^{-n} f_n(z, S) = (z/(1-z)) w^n/n! mod p, and the bound
+    v_p(Df_k) >= k at k = max(n, 1).  Df_k uses d/dS f_k = f_{k-1}/S, so
+    S(1-S) d/dS contributes (1-S) f_{k-1}, plus the maintained partial in z."""
     report_mod.check_weight("f-lemmas", p, n, 0, gap=1)
     report_mod.check_order("f-lemmas", M)
     korder = max(n, 1)
     A = default_precision(max(n, korder)) if A is None else A
     ctx = UnramifiedCtx(p, k, A)
     Mf = default_f_order(A, korder) if M is None else M
+    inv_fact = ctx.residue_field.element(math.factorial(n) % p).inverse()
 
     def measure(zbar: FpkElement, wz: WittApprox, w: WittApprox) -> dict:
         z = XPoint.from_alpha_w(ctx, teichmuller(ctx, zbar), wz).z
         fs = f_series(ctx, z, korder, Mf)
-        cong = f_congruence_check(ctx, z, w, n, fs=fs)
-        dfres = df_lemma_check(ctx, z, w, korder, fs=fs)
-        return {"congruenceOk": cong["pass"], "lhsResidue": cong["lhsResidue"],
-                "rhsResidue": cong["rhsResidue"], "dfValuationOk": dfres["valuationOk"],
-                "dfOrder": korder, "pass": cong["pass"] and dfres["valuationOk"]}
+        u = (z * w).shift(1)  # S - z = z p w
+        lhs = residue(fs[n].series.eval_at(u, target=1).shift(-n))
+        rhs = residue(z * (ctx.one() - z).inv()) * (residue(w) ** n) * inv_fact
+        s_pt = z * (ctx.one() + w.shift(1))
+        fprev = fs[korder - 1].series.eval_at(u, target=1)
+        dzval = fs[korder].dz_series.eval_at(u, target=1)
+        df_ok = ((ctx.one() - s_pt) * fprev + z * (ctx.one() - z) * dzval).valuation_ge(korder)
+        return {"congruenceOk": lhs == rhs, "dfValuationOk": df_ok, "dfOrder": korder,
+                **report_mod.residue_record(lhs, rhs, df_ok)}
 
     return report_mod.sampled_report(
         "f-lemmas", {"p": p, "n": n, "k": k, "A": A, "M": Mf, "dfOrder": korder},
-        ctx, measure, samples, seed, jobs, points, with_wz=True,
+        ctx, measure, samples, seed, jobs, points, names=("wz", "w"),
     )
 
 
@@ -229,25 +184,18 @@ def e_recover_check(
     the closed-form combination of weight n at sampled points."""
     report_mod.check_weight("e-recover", p, n, 2, gap=1)
     A = default_precision(n) if A is None else A
-    m = default_riemann_m(n) if m is None else m
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, m, max_weight=n)
     ecs = e_coeffs(n)
+    weights = [ecs[n - j] for j in range(n)]  # e_m on log^{n-m}(z) L_m(z)
 
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
         x = ev.xpoint(zbar, w)
-        logz = ev.log_at(x)
-        lhs = ctx.exact_zero()
-        for mm in range(1, n + 1):
-            if ecs[mm] == 0:
-                continue
-            lhs = lhs + ctx.from_rational(ecs[mm]) * ev.big_l_at(x, mm) * logz ** (n - mm)
-        rhs = ev.f_n_at(x, n)
-        return {"lhs": lhs.to_record(), "rhs": rhs.to_record(),
-                "pass": (lhs - rhs).valuation_ge(CHECK_DIGITS)}
+        lhs = log_sum(ctx, ev.log_at(x), weights, lambda j: ev.big_l_at(x, n - j))
+        return report_mod.value_record(lhs, ev.f_n_at(x, n))
 
     return report_mod.sampled_report(
-        "e-recover",
-        {"p": p, "n": n, "k": k, "A": A, "m": m, "checkDigits": CHECK_DIGITS},
+        "e-recover", {"p": p, "n": n, "k": k, "A": A, "m": ev.m,
+                      "checkDigits": report_mod.CHECK_DIGITS},
         ctx, measure, samples, seed, jobs, points,
     )

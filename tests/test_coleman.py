@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylogp import coleman, finite_poly, padic_core
 from polylogp.matrix import CHECKS
@@ -19,6 +21,7 @@ from polylogp.coleman import (
     default_precision,
     default_riemann_m,
     factorial_valuation,
+    log_sum,
     sample_w,
     verify_theorem,
 )
@@ -27,7 +30,7 @@ from polylogp.padic_core import UnramifiedCtx, residue, teichmuller
 from polylogp.report import sample_zbar, to_json
 from polylogp.rng import SplitMix64
 
-from test_power_series import series_derivative, series_mul
+from test_power_series import _fields, interval_values, series_derivative, series_mul
 
 
 def sample_xpoint(ev, rng):
@@ -399,6 +402,89 @@ def test_big_l_rejects_small_prime():
     x = sample_xpoint(ev, rng)
     with pytest.raises(ValueError):
         ev.big_l_at(x, 5)
+
+
+# -- the log-weighted sum ---------------------------------------------------------------
+#
+# ``log_sum`` replaced three loops: the evaluator's L_n/F_n/D F_n combination,
+# delprop's descending sum over f-values and e-recover's sum of L-values
+# against logz ** (n - m).  Each is kept here as an oracle, term by term as it
+# was written; weights[j] sits on log^j(z) and values[j].
+
+
+def loop_log_combination(ctx, logz, weights, values):
+    acc = ctx.exact_zero()
+    logpow = ctx.one()
+    for k, c in enumerate(weights):
+        acc = acc + ctx.from_rational(c) * logpow * values[k]
+        logpow = logpow * logz
+    return acc
+
+
+def loop_descending(ctx, logz, weights, values):
+    # delprop's integer weights went through from_int
+    n = len(weights) - 1
+    acc = ctx.exact_zero()
+    logpow = ctx.one()
+    for kk in range(n, -1, -1):
+        c = weights[n - kk]
+        scalar = ctx.from_int(int(c)) if c.denominator == 1 else ctx.from_rational(c)
+        acc = acc + scalar * values[n - kk] * logpow
+        logpow = logpow * logz
+    return acc
+
+
+def loop_log_powers(ctx, logz, weights, values):
+    n = len(weights)
+    acc = ctx.exact_zero()
+    for mm in range(1, n + 1):
+        if weights[n - mm] == 0:
+            continue
+        acc = acc + ctx.from_rational(weights[n - mm]) * values[n - mm] * logz ** (n - mm)
+    return acc
+
+
+@st.composite
+def log_sum_cases(draw):
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    ctx = UnramifiedCtx(p, draw(st.integers(1, 3)), draw(st.integers(1, 6)))
+    denominators = st.integers(1, 12).filter(lambda d: d % p)
+    weight = st.one_of(st.just(Fraction(0)), st.integers(-30, 30).map(Fraction),
+                       st.builds(Fraction, st.integers(-30, 30), denominators))
+    weights = draw(st.lists(weight, min_size=1, max_size=6))
+    values = [draw(interval_values(ctx)) for _ in weights]
+    # log z: an exact zero, an approximate zero, or a value of valuation >= 0
+    return ctx, draw(interval_values(ctx, min_scale=0)), weights, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_sum_cases())
+def test_log_sum_takes_the_steps_of_the_three_loops(case):
+    ctx, logz, weights, values = case
+    called = []
+
+    def value(j):
+        called.append(j)
+        return values[j]
+
+    got = _fields(log_sum(ctx, logz, weights, value))
+    assert called == [j for j, c in enumerate(weights) if c]
+    for loop in (loop_log_combination, loop_descending, loop_log_powers):
+        assert got == _fields(loop(ctx, logz, weights, values)), loop.__name__
+
+
+def test_log_sum_examples():
+    ctx = UnramifiedCtx(5, 2, 4)
+    logz = ctx.from_int(5)
+
+    def never(j):
+        pytest.fail(f"value({j}) evaluated at a zero weight")
+
+    assert log_sum(ctx, logz, [], never).exact
+    assert log_sum(ctx, logz, [0, 0], never).exact
+    # 3 * log^2(z) * 2 = 6 * 25
+    got = log_sum(ctx, logz, [0, 0, 3], lambda j: ctx.from_int(2))
+    assert got.eq_to_prec(ctx.from_int(150))
 
 
 # -- cross-check suite (standard fact, not part of the main congruence gate) ---------

@@ -7,7 +7,8 @@ elsewhere in ``src/``, referenced from the benchmark scripts
 ``perfbench/*.py``, unless the class is exported: its fields are then part
 of the public constructor.  Helpers that only tests call belong in
 ``tests/``.  Only the one record loop, ``report.records``, builds a record
-with an ``"index"`` key.  No module reads the process environment or imports
+with an ``"index"`` key, and only ``report`` builds a comparison record, one
+with an ``"lhsResidue"`` or ``"lhs"`` key.  No module reads the process environment or imports
 thread machinery: each value comes from its flag, a replayed report or its
 default, and every check runs serially.
 """
@@ -96,15 +97,18 @@ def unread_dataclass_fields() -> list:
     return sorted(fields - reads)
 
 
-def index_displays(tree) -> list:
-    """The top-level definition around each dict display with an "index" key."""
+def keyed_displays(tree, keys=("index",)) -> list:
+    """The top-level definition around each dict display with one of ``keys``."""
     found = []
     for top in tree.body:
         found += [getattr(top, "name", None) for node in ast.walk(top)
                   if isinstance(node, ast.Dict) and any(
-                      isinstance(key, ast.Constant) and key.value == "index"
+                      isinstance(key, ast.Constant) and key.value in keys
                       for key in node.keys)]
     return found
+
+
+COMPARISON_KEYS = ("lhsResidue", "lhs")
 
 
 def ambient_uses(tree) -> list:
@@ -169,7 +173,7 @@ def test_a_reference_inside_a_namesake_is_not_a_use():
 
 def test_only_the_record_loop_numbers_records():
     trees = _parse_all()
-    found = [(path.stem, name) for path in SRC for name in index_displays(trees[path])]
+    found = [(path.stem, name) for path in SRC for name in keyed_displays(trees[path])]
     assert found == [("report", "records")]
 
 
@@ -180,7 +184,31 @@ def test_a_hand_numbered_record_is_flagged():
         "def lookup(rec):\n"
         "    return rec[\"index\"], {**rec, \"n\": 1}\n"
     )
-    assert index_displays(tree) == ["check"]
+    assert keyed_displays(tree) == ["check"]
+
+
+def test_only_report_builds_comparison_records():
+    # finite_poly lists each counterexample of an inversion identity by its
+    # two sides; that is data of a failing record, not a comparison
+    trees = _parse_all()
+    found = [(path.stem, name) for path in SRC
+             for name in keyed_displays(trees[path], COMPARISON_KEYS)]
+    assert found == [("finite_poly", "inversion_identities"),
+                     ("report", "residue_record"), ("report", "value_record")]
+
+
+def test_a_hand_built_comparison_record_is_flagged():
+    tree = ast.parse(
+        "def check(lhs, rhs):\n"
+        "    return {\"lhsResidue\": list(lhs.coeffs), \"pass\": lhs == rhs}\n"
+        "def tolerance(lhs, rhs):\n"
+        "    rec = {\"pass\": True}\n"
+        "    rec.update({\"lhs\": lhs.to_record()})\n"
+        "    return rec\n"
+        "def lookup(rec):\n"
+        "    return rec[\"lhs\"], {**rec, \"lhsResidues\": 1}\n"
+    )
+    assert keyed_displays(tree, COMPARISON_KEYS) == ["check", "tolerance"]
 
 
 def test_no_module_reads_the_environment_or_spawns_threads():

@@ -5,8 +5,15 @@ import pytest
 from polylogp import matrix
 from polylogp.coleman import PolylogEvaluator, check_g_valuations
 from polylogp.matrix import CHECKS, inversion_check_report, run_matrix
-from polylogp.padic_core import PrecisionError
-from polylogp.report import ConfigError, records
+from polylogp.padic_core import PrecisionError, UnramifiedCtx
+from polylogp.report import (
+    CHECK_DIGITS,
+    ConfigError,
+    agree,
+    records,
+    residue_record,
+    value_record,
+)
 
 from test_rng import deadline
 
@@ -37,6 +44,25 @@ def test_records_turn_a_precision_error_into_a_shortfall():
     assert [r["pass"] for r in out] == [True, False, True]
     with pytest.raises(ValueError):
         records([({}, ())], lambda: int("x"))
+
+
+def test_the_two_comparisons():
+    ctx = UnramifiedCtx(5, 2, 6)
+    a = ctx.from_vec((7, 3))
+    near, far = a + ctx.from_int(5**CHECK_DIGITS), a + ctx.from_int(5**(CHECK_DIGITS - 1))
+    assert agree(a, near) and not agree(a, far)
+    with pytest.raises(PrecisionError):
+        agree(ctx.zero_approx(CHECK_DIGITS - 1), ctx.exact_zero())
+    assert value_record(a, near) == {"lhs": a.to_record(), "rhs": near.to_record(),
+                                     "pass": True}
+    assert value_record(a, far)["pass"] is False
+    x = ctx.residue_field.from_int(7)
+    y = x + ctx.residue_field.one()
+    assert residue_record(x, x) == {"lhsResidue": list(x.coeffs),
+                                    "rhsResidue": list(x.coeffs), "pass": True}
+    # the check's further condition joins the verdict
+    assert [residue_record(x, rhs, ok)["pass"] for rhs, ok in
+            ((x, False), (y, True), (y, False))] == [False, False, False]
 
 
 def test_jobs_other_than_one_is_rejected():

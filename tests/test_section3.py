@@ -11,13 +11,11 @@ from polylogp.coleman import (
 )
 from polylogp.padic_core import UnramifiedCtx, padic_log
 from polylogp.power_series import TruncSeries
-from polylogp.report import ConfigError
+from polylogp.report import ConfigError, sample_zbar
 from polylogp.rng import SplitMix64
 from polylogp.section3 import (
     delprop_check,
-    df_lemma_check,
     e_recover_check,
-    f_congruence_check,
     f_lemmas_check,
     f_series,
 )
@@ -134,14 +132,22 @@ def test_f_congruence_first_order_case():
 
 
 def test_single_point_lemma_interfaces():
+    # one point (zbar, wz, w) drawn from SplitMix64(19), replayed at n = 1, 2, 3,
+    # so that the Df bound runs at orders 1, 2 and 3
     ctx, ev = _setup(7, 2)
     rng = SplitMix64(19)
-    x = sample_xpoint(ev, rng)
-    w = sample_w(ctx, rng)
-    cong = f_congruence_check(ctx, x.z, w, 2)
-    assert cong["pass"] and cong["lhsResidue"] == cong["rhsResidue"]
-    for korder in (1, 2, 3):
-        assert df_lemma_check(ctx, x.z, w, korder)["pass"], korder
+    zbar = sample_zbar(ctx, rng)
+    wz, w = sample_w(ctx, rng), sample_w(ctx, rng)
+    point = {"index": 0, "zbar": list(zbar.coeffs), "wz": wz.to_record(),
+             "w": w.to_record()}
+    for n in (1, 2, 3):
+        report = f_lemmas_check(7, n, A=ctx.A, points=[point])
+        (rec,) = report["perSample"]
+        assert {key: rec[key] for key in ("zbar", "wz", "w")} == {
+            key: point[key] for key in ("zbar", "wz", "w")}, n
+        assert rec["dfOrder"] == n and report["params"]["dfOrder"] == n
+        assert rec["congruenceOk"] and rec["dfValuationOk"] and rec["pass"], n
+        assert rec["lhsResidue"] == rec["rhsResidue"], n
 
 
 def test_f_lemmas_small_cells():
