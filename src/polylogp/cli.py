@@ -6,7 +6,7 @@ identical configurations (including the seed) produce byte-identical json.
 
 The sampling PRNG is SplitMix64, so seeds reproduce across platforms; any
 report (or single failing sample record embedded in one) can be fed back
-with --replay to re-execute exactly those points.
+with --replay to re-execute its points (only the failing ones, if any fail).
 """
 
 from __future__ import annotations

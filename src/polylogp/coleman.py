@@ -155,7 +155,6 @@ class PolylogEvaluator:
         cached = self._lip.setdefault(key, {})
         if n not in cached:
             want = set(range(0, max(n, self.max_weight) + 1)) - set(cached)
-            want.add(n)
             ctx = self.ctx
             sums, inv_cell = self._measure_sums(z, sorted(want), m)
             inv_factor = ctx.make(0, inv_cell, z.prec)  # 1/(1 - z^{p^m})

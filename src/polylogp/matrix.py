@@ -57,7 +57,7 @@ def _grid(ps, ns, ks, gap=None, **fixed) -> list:
 def _corollary_fields() -> list:
     fields = [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)]
     fields += [(3, 2), (5, 2), (7, 2), (3, 3)]
-    return [{"p": p, "k": k} for p, k in fields if p**k <= 49]
+    return [{"p": p, "k": k} for p, k in fields]
 
 
 def inversion_check_report(p: int, k: int = 1, ns=(2, 3, 4, 5, 6)) -> dict:
@@ -124,6 +124,8 @@ def run_matrix(kind: str = "full", seed: int = DEFAULT_SEED, jobs: int = 1,
                progress=None) -> dict:
     """Run every check over its matrix; returns an aggregate report.  The run
     is serial, so ``jobs`` must be 1."""
+    if kind not in ("full", "small"):
+        raise report_mod.ConfigError(f"unknown matrix {kind!r}: expected 'full' or 'small'")
     if jobs != 1:
         raise report_mod.ConfigError(f"verify all runs serially: jobs must be 1, "
                                      f"got {jobs}")

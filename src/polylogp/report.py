@@ -38,7 +38,10 @@ def check_weight(command: str, p: int, n: int, low: int, gap: int | None = None)
 
 
 def check_weights(command: str, p: int, ns, low: int) -> None:
-    """``check_weight`` on each weight of ``ns``, which must not repeat one."""
+    """``check_weight`` on each weight of ``ns``, which must list at least one
+    weight and must not repeat one."""
+    if not ns:
+        raise ConfigError(f"{command} needs at least one weight")
     for i, n in enumerate(ns):
         check_weight(command, p, n, low)
         if n in ns[:i]:

@@ -13,13 +13,12 @@ point of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .coleman import PolylogEvaluator, XPoint, default_precision, log_sum
+from .coleman import PolylogEvaluator, default_precision, log_sum
 from .finite_poly import FpkElement
 from .identities import e_coeffs
-from .padic_core import UnramifiedCtx, WittApprox, residue, teichmuller
+from .padic_core import UnramifiedCtx, WittApprox, residue
 from .power_series import TruncSeries
 from . import report as report_mod
 
@@ -28,26 +27,24 @@ def default_f_order(A: int, kmax: int) -> int:
     return A + kmax + 5
 
 
-@dataclass(frozen=True)
-class FSeriesPair:
-    """f_k(z, z+u) as a series in u, with the partial in z alongside.
-
-    ``dz_series`` expands (d/dz f_k)(z, S) at fixed S, evaluated at S = z+u;
-    it is maintained by the boundary-term recursion, since only f_0 has a
-    nonzero diagonal value f_0(z,z) = z/(1-z).
-    """
-
-    series: TruncSeries
-    dz_series: TruncSeries
+def _dlog_chain(s: TruncSeries, z: WittApprox, steps: int) -> list:
+    """s and its next ``steps`` iterated dlog integrals: each is the
+    antiderivative of the last times du/(z+u), from 1/(z+u) = z^{-1}/(1 + u/z)."""
+    zinv = z.inv()
+    slope = -Fraction(1, s.ctx.p - 1)
+    out = [s]
+    for _ in range(steps):
+        out.append(out[-1].over_linear(-zinv).scalar_mul(zinv).integrate(slope, 0))
+    return out
 
 
-def f_series(ctx: UnramifiedCtx, z: WittApprox, kmax: int, M: int | None = None) -> list:
+def f_series(ctx: UnramifiedCtx, z: WittApprox, kmax: int, M: int) -> list:
     """The family f_0..f_kmax expanded about the base point z; entry k is f_k.
 
     Every coefficient of degree j in any member is certified to satisfy
     v_p >= -v_p(j!), the bound that survives repeated dlog integration of an
-    integral series: f_0 = (z+u)/(1-z-u) and dz_1 = -1/(1-z) are integral;
-    multiplying by 1/(z+u) = z^{-1} sum_i (-u/z)^i, a series of units, keeps
+    integral series: f_0 = (z+u)/(1-z-u) is integral; multiplying by
+    1/(z+u) = z^{-1} sum_i (-u/z)^i, a series of units, keeps
     v_p >= -v_p(i!) on coefficient i, and integrating divides coefficient
     j-1 by j, giving -v_p((j-1)!) - v_p(j) = -v_p(j!).  By Legendre,
     v_p(j!) <= j/(p-1), so each step installs v_p >= -j/(p-1).  Evaluation
@@ -56,30 +53,23 @@ def f_series(ctx: UnramifiedCtx, z: WittApprox, kmax: int, M: int | None = None)
     zbar = residue(z)
     if zbar.is_zero() or zbar.is_one():
         raise ValueError("base point must satisfy |z| = |z-1| = 1")
-    if M is None:
-        M = default_f_order(ctx.A, kmax)
     one = ctx.one()
     inv1z = (one - z).inv()
-    slope = -Fraction(1, ctx.p - 1)
     f0 = TruncSeries.from_coeffs(ctx, "u", [z, one], order=M)
-    f0 = f0.over_linear(inv1z).scalar_mul(inv1z)  # (z+u)/(1-z-u)
-    dz0 = TruncSeries.from_coeffs(ctx, "u", [ctx.exact_zero()], order=M)
-    zinv = z.inv()
+    return _dlog_chain(f0.over_linear(inv1z).scalar_mul(inv1z), z, kmax)  # (z+u)/(1-z-u)
 
-    def dlog_step(s: TruncSeries) -> TruncSeries:
-        # integrate s/(z+u) du: 1/(z+u) = z^{-1}/(1 + u/z)
-        return s.over_linear(-zinv).scalar_mul(zinv).integrate(slope, 0)
 
-    out = [FSeriesPair(f0, dz0)]
-    fk, dzk = f0, dz0
-    for k in range(1, kmax + 1):
-        fk = dlog_step(fk)
-        if k == 1:
-            dzk = TruncSeries.from_coeffs(ctx, "u", [-inv1z], order=M)
-        else:
-            dzk = dlog_step(dzk)
-        out.append(FSeriesPair(fk, dzk))
-    return out
+def dz_series(ctx: UnramifiedCtx, z: WittApprox, k: int, M: int) -> TruncSeries:
+    """The z-partial dz_k = (d/dz f_k)(z, S) at fixed S, expanded at S = z+u.
+
+    Only f_0 has a nonzero diagonal value, f_0(z,z) = z/(1-z), so the
+    boundary term gives dz_1 = -1/(1-z), and each further order is one dlog
+    step; dz_1 is integral, so ``f_series``'s bound holds by its induction.
+    """
+    if k < 1:
+        raise ValueError(f"the z-partial starts at k = 1, got k={k}")
+    dz1 = TruncSeries.from_coeffs(ctx, "u", [-(ctx.one() - z).inv()], order=M)
+    return _dlog_chain(dz1, z, k - 1)[-1]
 
 
 # -- verification drivers ------------------------------------------------------
@@ -113,7 +103,7 @@ def delprop_check(
         fs = f_series(ctx, x.alpha, n + 1, Mf)
         u = (x.alpha * w).shift(1)  # S - z = alpha p w
         logS = ev.log_at(x)
-        fvals = [fs[kk + 1].series.eval_at(u, target=1) for kk in range(n + 1)]
+        fvals = [fs[kk + 1].eval_at(u, target=1) for kk in range(n + 1)]
         lhs = -log_sum(ctx, logS, weights, lambda j: fvals[n - j])
         l_at_alpha = ev.li_tilde(x.alpha, n + 1).shift(n + 1)
         l_at_s = ev.big_l_at(x, n + 1)
@@ -141,24 +131,25 @@ def f_lemmas_check(
     """Sampled driver over both single-point lemmas at z and S = z(1+pw):
     the congruence p^{-n} f_n(z, S) = (z/(1-z)) w^n/n! mod p, and the bound
     v_p(Df_k) >= k at k = max(n, 1).  Df_k uses d/dS f_k = f_{k-1}/S, so
-    S(1-S) d/dS contributes (1-S) f_{k-1}, plus the maintained partial in z."""
+    S(1-S) d/dS contributes (1-S) f_{k-1}, plus z(1-z) times the z-partial."""
     report_mod.check_weight("f-lemmas", p, n, 0, gap=1)
     report_mod.check_order("f-lemmas", M)
-    korder = max(n, 1)
-    A = default_precision(max(n, korder)) if A is None else A
+    korder = max(n, 1)  # >= n, so it also sets the digits for f_n
+    A = default_precision(korder) if A is None else A
     ctx = UnramifiedCtx(p, k, A)
+    ev = PolylogEvaluator(ctx, max_weight=korder)
     Mf = default_f_order(A, korder) if M is None else M
     inv_fact = ctx.residue_field.element(math.factorial(n) % p).inverse()
 
     def measure(zbar: FpkElement, wz: WittApprox, w: WittApprox) -> dict:
-        z = XPoint.from_alpha_w(ctx, teichmuller(ctx, zbar), wz).z
-        fs = f_series(ctx, z, korder, Mf)
+        z = ev.xpoint(zbar, wz).z
+        fs = f_series(ctx, z, n, Mf)
         u = (z * w).shift(1)  # S - z = z p w
-        lhs = residue(fs[n].series.eval_at(u, target=1).shift(-n))
+        lhs = residue(fs[n].eval_at(u, target=1).shift(-n))
         rhs = residue(z * (ctx.one() - z).inv()) * (residue(w) ** n) * inv_fact
         s_pt = z * (ctx.one() + w.shift(1))
-        fprev = fs[korder - 1].series.eval_at(u, target=1)
-        dzval = fs[korder].dz_series.eval_at(u, target=1)
+        fprev = fs[korder - 1].eval_at(u, target=1)
+        dzval = dz_series(ctx, z, korder, Mf).eval_at(u, target=1)
         df_ok = ((ctx.one() - s_pt) * fprev + z * (ctx.one() - z) * dzval).valuation_ge(korder)
         return {"congruenceOk": lhs == rhs, "dfValuationOk": df_ok, "dfOrder": korder,
                 **report_mod.residue_record(lhs, rhs, df_ok)}

@@ -18,7 +18,7 @@ from polylogp.finite_poly import poly_inverse
 from polylogp.padic_core import PrecisionError, UnramifiedCtx
 from polylogp.power_series import TailBound, TruncSeries
 from polylogp.rng import SplitMix64
-from polylogp.section3 import f_series
+from polylogp.section3 import default_f_order, dz_series, f_series
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -136,7 +136,8 @@ def _product_built_g_series(ev, alpha, n, M) -> list:
     return out
 
 
-def _product_built_f_series(ctx, z, kmax, M) -> list:
+def _product_built_f_series(ctx, z, kmax, M) -> tuple:
+    """f_0..f_kmax, and dz_1..dz_kmax (entry k-1 is dz_k)."""
     one = ctx.one()
     inv1z = (one - z).inv()
     slope = -Fraction(1, ctx.p - 1)
@@ -150,11 +151,13 @@ def _product_built_f_series(ctx, z, kmax, M) -> list:
         truncated = TruncSeries(ctx, "u", integrated.coeffs[: M + 1], integrated.tail)
         return truncated.with_tail(slope, 0)
 
-    out = [(f0, TruncSeries.from_coeffs(ctx, "u", [ctx.exact_zero()], order=M))]
+    fs = [f0]
+    dzs = [TruncSeries.from_coeffs(ctx, "u", [-inv1z], order=M)]
     for k in range(1, kmax + 1):
-        dz = TruncSeries.from_coeffs(ctx, "u", [-inv1z], order=M) if k == 1 else step(out[-1][1])
-        out.append((step(out[-1][0]), dz))
-    return out
+        fs.append(step(fs[-1]))
+        if k > 1:
+            dzs.append(step(dzs[-1]))
+    return fs, dzs
 
 
 def _assert_identical(new: TruncSeries, old: TruncSeries):
@@ -176,10 +179,13 @@ def test_over_linear_builds_what_the_products_built(p, k):
         for n, old in enumerate(_product_built_g_series(ev, alpha, kmax, M)):
             _assert_identical(ev.g_series(alpha, n), old)
         z = alpha * (ctx.one() + ctx.from_int(p * t))
+        old_fs, old_dzs = _product_built_f_series(ctx, z, 4, 10)
         new_fs = f_series(ctx, z, 4, M=10)
-        for pair, (old_f, old_dz) in zip(new_fs, _product_built_f_series(ctx, z, 4, 10)):
-            _assert_identical(pair.series, old_f)
-            _assert_identical(pair.dz_series, old_dz)
+        assert len(new_fs) == len(old_fs) == 5
+        for new_f, old_f in zip(new_fs, old_fs):
+            _assert_identical(new_f, old_f)
+        for order, old_dz in enumerate(old_dzs, start=1):
+            _assert_identical(dz_series(ctx, z, order, 10), old_dz)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -219,8 +225,8 @@ def _refuted_degrees(s: TruncSeries) -> list:
 
 @pytest.mark.parametrize("p, k, A", [(3, 1, 8), (5, 1, 7), (5, 2, 6), (7, 3, 5), (13, 1, 6)])
 def test_installed_integration_bounds_hold_on_the_stored_coefficients(p, k, A):
-    # the bounds g_series and f_series pass to integrate are proven, not
-    # derived; no stored coefficient may contradict them
+    # the bounds g_series, f_series and dz_series pass to integrate are
+    # proven, not derived; no stored coefficient may contradict them
     n = 4
     ctx = UnramifiedCtx(p, k, A)
     ev = PolylogEvaluator(ctx, 3, max_weight=n)
@@ -229,9 +235,11 @@ def test_installed_integration_bounds_hold_on_the_stored_coefficients(p, k, A):
         alpha = ev.teich(field.from_int(t))
         for j in range(n + 1):
             assert _refuted_degrees(ev.g_series(alpha, j)) == [], (t, j)
-        for member, pair in enumerate(f_series(ctx, alpha, n)):
-            assert _refuted_degrees(pair.series) == [], (t, member)
-            assert _refuted_degrees(pair.dz_series) == [], (t, member)
+        M = default_f_order(A, n)
+        for member, f in enumerate(f_series(ctx, alpha, n, M)):
+            assert _refuted_degrees(f) == [], (t, member)
+        for order in range(1, n + 1):
+            assert _refuted_degrees(dz_series(ctx, alpha, order, M)) == [], (t, order)
 
 
 @pytest.mark.parametrize("p, k", [(5, 1), (7, 2)])
@@ -251,8 +259,8 @@ def test_series_builds_invert_each_integer_once_per_context(monkeypatch, p, k):
     ctx = UnramifiedCtx(p, k, A)  # a fresh context, so no inverse is cached yet
     z = ctx.from_vec(alpha.coeffs)
     calls.clear()
-    fs = f_series(ctx, z, n)
-    Mf = fs[0].series.order
+    Mf = default_f_order(A, n)
+    f_series(ctx, z, n, Mf)
     assert Mf <= len(calls) <= Mf + 3 * (n + 1)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from polylogp import matrix
-from polylogp.coleman import PolylogEvaluator, check_g_valuations
+from polylogp.coleman import PolylogEvaluator, check_corollary, check_g_valuations
 from polylogp.matrix import CHECKS, inversion_check_report, run_matrix
 from polylogp.padic_core import PrecisionError, UnramifiedCtx
 from polylogp.report import (
@@ -71,6 +71,21 @@ def test_jobs_other_than_one_is_rejected():
         CHECKS["theorem"].run(p=5, n=2, samples=2, jobs=2)
     with pytest.raises(ConfigError, match="jobs must be 1, got 2"):
         run_matrix("small", jobs=2)
+
+
+def test_an_empty_weight_list_is_rejected():
+    # once a vacuous pass (inversion) and a bare ValueError from max() (corollary)
+    with pytest.raises(ConfigError, match="inversion needs at least one weight"):
+        inversion_check_report(5, ns=())
+    with pytest.raises(ConfigError, match="corollary needs at least one weight"):
+        check_corollary(5, ns=())
+
+
+def test_an_unknown_matrix_kind_is_rejected():
+    # "Full" once ran the small matrix under the label "Full" and passed
+    for kind in ("Full", "", "smoke"):
+        with pytest.raises(ConfigError, match="unknown matrix"):
+            run_matrix(kind)
 
 
 def _raise_precision(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from polylogp import coleman, section3
 from polylogp.coleman import (
     PolylogEvaluator,
     XPoint,
@@ -9,12 +10,15 @@ from polylogp.coleman import (
     default_riemann_m,
     sample_w,
 )
+from polylogp.matrix import CHECKS
 from polylogp.padic_core import UnramifiedCtx, padic_log
 from polylogp.power_series import TruncSeries
 from polylogp.report import ConfigError, sample_zbar
 from polylogp.rng import SplitMix64
 from polylogp.section3 import (
+    default_f_order,
     delprop_check,
+    dz_series,
     e_recover_check,
     f_lemmas_check,
     f_series,
@@ -34,11 +38,11 @@ def test_f0_expansion_and_diagonal_values():
     ctx, ev = _setup(5, 2)
     rng = SplitMix64(3)
     z = sample_xpoint(ev, rng).z
-    fs = f_series(ctx, z, 3)
+    fs = f_series(ctx, z, 3, default_f_order(ctx.A, 3))
     # constant term of f_0 is z/(1-z); all further diagonals vanish
-    assert fs[0].series.coeffs[0].eq_to_prec(z * (ctx.one() - z).inv())
+    assert fs[0].coeffs[0].eq_to_prec(z * (ctx.one() - z).inv())
     for k in range(1, 4):
-        c0 = fs[k].series.coeffs[0]
+        c0 = fs[k].coeffs[0]
         assert c0.exact or c0.valuation_ge(c0.abs_prec)
 
 
@@ -51,7 +55,7 @@ def test_f1_coefficients_closed_form():
     inv1z = (ctx.one() - z).inv()
     for j in range(1, 11):
         expected = inv1z**j * ctx.from_int(j).inv()
-        got = fs[1].series.coeffs[j]
+        got = fs[1].coeffs[j]
         assert (got - expected).valuation_ge(min(got.abs_prec, expected.abs_prec)), j
 
 
@@ -65,8 +69,8 @@ def test_f1_evaluation_matches_log_difference():
         w = sample_w(ctx, r)
         u = (x.z * w).shift(1)
         s_val = x.z * (ctx.one() + w.shift(1))
-        fs = f_series(ctx, x.z, 1)
-        got = fs[1].series.eval_at(u, target=1)
+        fs = f_series(ctx, x.z, 1, default_f_order(ctx.A, 1))
+        got = fs[1].eval_at(u, target=1)
         ratio = (ctx.one() - s_val) * (ctx.one() - x.z).inv()
         expected = -padic_log(ratio)
         assert (got - expected).valuation_ge(min(got.abs_prec, expected.abs_prec))
@@ -81,9 +85,9 @@ def test_f_series_construction_inverse_check():
     fs = f_series(ctx, z, 3, M=M)
     lin = TruncSeries.from_coeffs(ctx, "u", [z, ctx.one()], order=M)
     for k in range(3):
-        lhs = series_mul(series_derivative(fs[k + 1].series), lin)
+        lhs = series_mul(series_derivative(fs[k + 1]), lin)
         for j in range(M - 1):
-            a, b = lhs.coeffs[j], fs[k].series.coeffs[j]
+            a, b = lhs.coeffs[j], fs[k].coeffs[j]
             shared = [prec for prec in (a.abs_prec, b.abs_prec) if prec is not None]
             if not shared:
                 continue  # two exact zeros
@@ -100,12 +104,53 @@ def test_df1_is_exactly_s_minus_z():
         w = sample_w(ctx, r)
         u = (x.z * w).shift(1)
         s_val = x.z * (ctx.one() + w.shift(1))
-        fs = f_series(ctx, x.z, 1)
-        f0 = fs[0].series.eval_at(u, target=1)
-        dz1 = fs[1].dz_series.eval_at(u, target=1)
+        M = default_f_order(ctx.A, 1)
+        f0 = f_series(ctx, x.z, 0, M)[0].eval_at(u, target=1)
+        dz1 = dz_series(ctx, x.z, 1, M).eval_at(u, target=1)
         df1 = (ctx.one() - s_val) * f0 + x.z * (ctx.one() - x.z) * dz1
         diff = df1 - (s_val - x.z)
         assert diff.valuation_ge(diff.abs_prec if not diff.exact else 5)
+
+
+def test_dz_series_starts_at_order_one():
+    ctx, ev = _setup(7, 1)
+    z = sample_xpoint(ev, SplitMix64(9)).z
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            dz_series(ctx, z, k, 10)
+
+
+def test_section3_cells_build_only_what_they_read(monkeypatch):
+    # a deterministic count, not a timing: delprop reads f_1..f_{n+1}, so it
+    # integrates in u n+1 times per record; f-lemmas reads f_0..f_n and dz_k at
+    # k = max(n, 1), so n + k - 1 times, and lifts each residue once per cell
+    integrations, lifts = [0], [0]
+    integrate, teichmuller = TruncSeries.integrate, coleman.teichmuller
+
+    def counted_integrate(s, *args, **kwargs):
+        integrations[0] += s.var == "u"  # the disc series of L_{n+1} run in w
+        return integrate(s, *args, **kwargs)
+
+    def counted_teichmuller(*args, **kwargs):
+        lifts[0] += 1
+        return teichmuller(*args, **kwargs)
+
+    monkeypatch.setattr(TruncSeries, "integrate", counted_integrate)
+    for module in (coleman, section3):
+        monkeypatch.setattr(module, "teichmuller", counted_teichmuller, raising=False)
+    total = 0
+    for name, per_record in (("delprop", lambda n: n + 1),
+                             ("f-lemmas", lambda n: n + max(n, 1) - 1)):
+        for cell in CHECKS[name].full:
+            integrations[0] = lifts[0] = 0
+            report = CHECKS[name].run(**cell)
+            recs = report["perSample"]
+            assert report["pass"], cell
+            assert integrations[0] == len(recs) * per_record(cell["n"]), (name, cell)
+            if name == "f-lemmas":
+                assert lifts[0] == len({tuple(r["zbar"]) for r in recs}), cell
+            total += integrations[0]
+    assert total == 530
 
 
 def test_delprop_zero_weight_reduces_to_li1():
@@ -227,8 +272,8 @@ def test_f_series_tail_soundness_spot_check():
         w = sample_w(ctx, r)
         u = (x.z * w).shift(1)
         for k in (1, 2):
-            tail_v = fs_short[k].series.tail_valuation_at(u.min_valuation
-                                                          if not u.exact else 1)
-            a = fs_short[k].series.eval_at(u, target=1)
-            b = fs_long[k].series.eval_at(u, target=1)
+            tail_v = fs_short[k].tail_valuation_at(u.min_valuation
+                                                   if not u.exact else 1)
+            a = fs_short[k].eval_at(u, target=1)
+            b = fs_long[k].eval_at(u, target=1)
             assert (a - b).valuation_ge(min(tail_v, a.abs_prec, b.abs_prec))
