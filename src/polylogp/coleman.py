@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finite_poly import FpkElement, frobenius, li_finite, poly_inverse, poly_mul, sigma, unit_powers
+from .finite_poly import (FpkElement, frobenius, li_finite, li_finite_walk, poly_inverse,
+                          poly_mul, sigma, unit_powers)
 from .identities import a_coeffs
 from .padic_core import (
     UnramifiedCtx,
@@ -113,6 +114,7 @@ class PolylogEvaluator:
         self.trace = trace
         self._teich: dict = {}
         self._lip: dict = {}
+        self._li_teich: dict = {}
         self._litilde: dict = {}
         self._g: dict = {}
         self._li_at: dict = {}
@@ -254,30 +256,44 @@ class PolylogEvaluator:
     def li_n_teich(self, alpha: WittApprox, n: int) -> WittApprox:
         """Li_n at a root of unity via the finite Frobenius-orbit sum.
 
-        Computes p^n/(p^{kn}-1) * sum_i p^{(k-1-i)n} Li^{(p)}_n(alpha^{p^i})
-        over the orbit, and certifies the valuation is at least n.  The orbit
-        steps by the Witt Frobenius, which is alpha -> alpha^p at a root of
-        unity (``WittApprox.frobenius``).  Only the first point of an orbit
-        runs a measure sum: ``li_p_riemann`` memoizes the conjugates
-        phi^i(alpha) from it, so the rest of the loop reads the memo.
+        Computes p^n/(p^{kn}-1) * sum_i p^{(k-1-i)n} L(phi^i alpha) over the
+        orbit, with L = Li^{(p)}_n from ``li_p_riemann``, and certifies the
+        valuation is at least n.  The orbit steps by the Witt Frobenius,
+        which is alpha -> alpha^p at a root of unity (``WittApprox.frobenius``),
+        and its k values of L come from one measure sum (``li_p_riemann``).
+
+        One orbit sum serves the whole orbit: a miss at alpha also memoizes
+        phi^i of its value as the value at phi^i(alpha), i < k, which is what
+        a fresh evaluation there gives, field for field.  Up to the factor
+        p^n/(p^{kn}-1), in Z_p and fixed by phi, both sides at phi(alpha) are
+        sum_i p^{(k-1-i)n} L(phi^{i+1} alpha).  The orbit sum at phi(alpha)
+        is that sum by definition.  phi of the sum at alpha is that sum term
+        by term: phi(L(x)) = L(phi x) field for field (``li_p_riemann``),
+        phi^k = 1, and phi commutes with the sums, shifts and products that
+        assemble the value and preserves the valuations they normalize by.
         """
         if n < 1:
             raise ValueError("weight must be >= 1 here; weight 0 is z/(1-z)")
-        ctx = self.ctx
-        p, k = ctx.p, ctx.k
-        acc = ctx.exact_zero()
-        zi = alpha
-        for i in range(k):
-            lip = self.li_p_riemann(zi, n)
-            acc = acc + lip.shift((k - 1 - i) * n)
-            if i + 1 < k:
-                zi = zi.frobenius()
-        value = acc.shift(n) * ctx.inv_int(p ** (k * n) - 1)
-        if not value.valuation_ge(n):
-            raise ArithmeticError(
-                f"internal error: Li_{n} at a root of unity has valuation < {n}"
-            )
-        return value
+        key = (alpha.scale, alpha.coeffs, alpha.prec, n)
+        if key not in self._li_teich:
+            ctx = self.ctx
+            p, k = ctx.p, ctx.k
+            orbit = [alpha]
+            for _ in range(k - 1):
+                orbit.append(orbit[-1].frobenius())
+            acc = ctx.exact_zero()
+            for i, zi in enumerate(orbit):
+                acc = acc + self.li_p_riemann(zi, n).shift((k - 1 - i) * n)
+            value = acc.shift(n) * ctx.inv_int(p ** (k * n) - 1)
+            if not value.valuation_ge(n):
+                raise ArithmeticError(
+                    f"internal error: Li_{n} at a root of unity has valuation < {n}"
+                )
+            self._li_teich[key] = value
+            for zi in orbit[1:]:  # Li_n(phi^i alpha) = phi^i Li_n(alpha)
+                value = value.frobenius()
+                self._li_teich[(zi.scale, zi.coeffs, zi.prec, n)] = value
+        return self._li_teich[key]
 
     def li_tilde(self, alpha: WittApprox, n: int) -> WittApprox:
         """p^{-n} Li_n(alpha); weight 0 is alpha/(1-alpha)."""
@@ -499,10 +515,14 @@ def check_corollary(
     value -li_n(sigma(alphabar))/(1-alphabar), for every residue not 0 or 1.
 
     At alphabar = -1 with n even the finite side vanishes, which forces one
-    extra digit of valuation; that sharpening is asserted as well.  The lifts
-    alpha come from one walk g^i of the unit group (``teichmuller_powers``),
-    and 1/(1 - alphabar) is read off the same walk, g^{-i} = g^{q-1-i}, once
-    per residue; the records stay in integer-encoding order of alphabar.
+    extra digit of valuation; that sharpening is asserted as well.  The
+    records stay in integer-encoding order of alphabar, and every other
+    value is read off one walk g^i of the unit group: the lifts alpha
+    (``teichmuller_powers``) and the finite side.  With alphabar = g^i and
+    1 - alphabar = g^j, sigma(alphabar) = g^{i p^{k-1}}, so li_n(sigma
+    alphabar) is entry i p^{k-1} mod q-1 of ``li_finite_walk``; when it is
+    g^e, the finite side is -g^{e-j}, and 0 when li_n vanishes.  The p-adic
+    side takes one orbit sum per Frobenius orbit (``li_n_teich``).
     """
     report_mod.check_weights("corollary", p, ns, 1)
     A = default_precision(max(ns)) if A is None else A
@@ -511,24 +531,28 @@ def check_corollary(
     field = ctx.residue_field
     minus_one = -field.one()
     walk = unit_powers(p, k)
-    lifts = dict(zip(walk, teichmuller_powers(ctx)))
-    inverse = dict(zip(walk, walk[:1] + walk[:0:-1]))  # 1/g^i = g^{q-1-i}
+    order = len(walk)
+    index = {c: i for i, c in enumerate(walk)}
+    lifts = teichmuller_powers(ctx)
+    li = {n: li_finite_walk(n, field) for n in ns}
+    turn = p ** (k - 1)  # sigma(g^i) = g^{i p^{k-1}}
 
-    def measure(alphabar: FpkElement, n: int, inv_one_minus: FpkElement) -> dict:
-        li = ev.li_n_teich(lifts[alphabar.coeffs], n)
-        val_ok = li.valuation_ge(n)
-        lhs = residue(li.shift(-n))
-        rhs = -(li_finite(n, sigma(alphabar)) * inv_one_minus)
+    def measure(alphabar: FpkElement, n: int, i: int, j: int) -> dict:
+        value = ev.li_n_teich(lifts[i], n)
+        val_ok = value.valuation_ge(n)
+        lhs = residue(value.shift(-n))
+        e = index.get(li[n][i * turn % order])  # None where li_n vanishes
+        rhs = field.zero() if e is None else -FpkElement(field, walk[(e - j) % order])
         rec = {"valuationOk": val_ok, **report_mod.residue_record(lhs, rhs, val_ok)}
         if alphabar == minus_one and n % 2 == 0:
-            rec["extraValuationOk"] = li.valuation_ge(n + 1)
+            rec["extraValuationOk"] = value.valuation_ge(n + 1)
             rec["pass"] = rec["pass"] and rec["extraValuationOk"]
         return rec
 
     items = []
     for ab in map(field.from_int, range(2, p**k)):
-        inv = FpkElement(field, inverse[(field.one() - ab).coeffs])
-        items += [({"alphabar": list(ab.coeffs), "n": n}, (ab, n, inv)) for n in ns]
+        i, j = index[ab.coeffs], index[(field.one() - ab).coeffs]
+        items += [({"alphabar": list(ab.coeffs), "n": n}, (ab, n, i, j)) for n in ns]
     return report_mod.assemble("corollary", {"p": p, "k": k, "ns": list(ns), "A": A, "m": m},
                                ctx, report_mod.records(items, measure))
 

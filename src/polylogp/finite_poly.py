@@ -10,7 +10,9 @@ Frobenius phi, which is y -> y^{p^e} at r = 1, as a cached linear map; and
 ``poly_inverse`` inverts a unit by the norm mod p, Newton-lifted to p^r.
 ``unit_powers`` lists the cyclic group F_{p^k}^* as the powers of one
 primitive root, so an exhaustive sweep can walk it and read 1/z = g^{-i} off
-the walk.
+the walk.  On that walk x^j is a table read, g^{ij mod (q-1)}, so
+``li_finite_walk`` gives li_n at every unit as sums of table rows with no
+ring product, and a product of two walk entries is a sum of their indices.
 """
 
 from __future__ import annotations
@@ -367,6 +369,25 @@ def li_finite(n: int, x: FpkElement) -> FpkElement:
     return FpkElement(field, tuple([a % p for a in acc]))
 
 
+def li_finite_walk(n: int, field: FiniteField) -> list:
+    """li_n(g^i) for i = 0..q-2 as coefficient tuples, on the walk g^i of
+    ``unit_powers``: entry i is ``li_finite(n, g^i)``, field for field.
+
+    g has order q-1, so (g^i)^j = g^{ij mod (q-1)} is entry ij mod (q-1) of
+    the walk, and li_n(g^i) = sum_{j=1}^{p-1} j^{-n} walk[ij mod (q-1)] is an
+    F_p-linear combination of p-1 walk entries, reduced mod p once: the same
+    vector as ``li_finite``'s sum of powers.  Cost O(q p k), no ``poly_mul``.
+    """
+    if n < 0:
+        raise ValueError("weight must be >= 0")
+    p, walk = field.p, unit_powers(field.p, field.k)
+    order = len(walk)
+    weights = (1, *_li_coeff_table(p, n))  # j^{-n} for j = 1..p-1
+    return [tuple([sum(map(mul, weights, col)) % p for col in
+                   zip(*[walk[i * j % order] for j in range(1, p)])])
+            for i in range(order)]
+
+
 def frobenius(x: FpkElement, e: int = 1) -> FpkElement:
     """Frobenius power on F_{p^k}: x -> x^{p^e}, a cached F_p-linear map."""
     field = x.field
@@ -403,26 +424,29 @@ def inversion_identities(n: int, field: FiniteField) -> tuple:
     but not on proper extensions.  Returns the (plain, twisted) reports;
     counterexamples are reported, not raised, in integer-encoding order of z.
 
-    li_{n-1} is evaluated once per unit, along the walk g^i of
-    ``unit_powers``; the value at 1/g^i = g^{q-1-i} is read off the same walk.
+    Everything is read off the walk g^i of ``unit_powers``: li_{n-1} at
+    every unit from ``li_finite_walk``, its value at 1/g^i = g^{q-1-i}, and
+    the two products.  With z = g^i, z^p = g^{ip} and li_{n-1}(1/z) = g^e,
+    the products z li and z^p li are walk entries i+e and ip+e mod q-1; a
+    zero li gives a zero product.  No ring product or inverse is taken.
     """
     if n < 2:
         raise ValueError("identity needs weight n >= 2")
     sign = -1 if n % 2 else 1
-    powers = unit_powers(field.p, field.k)
-    order = len(powers)
-    li = [li_finite(n - 1, FpkElement(field, c)) for c in powers]
-    index = {c: i for i, c in enumerate(powers)}
+    p, walk = field.p, unit_powers(field.p, field.k)
+    order = len(walk)
+    index = {c: i for i, c in enumerate(walk)}
+    li = li_finite_walk(n - 1, field)
+    zero = (0,) * field.k
     plain, twisted = [], []
     for z in field.units():
         i = index[z.coeffs]
-        li_inv = li[-i % order]
-        rhs = li[i] * sign
-        for bad, factor in ((plain, z), (twisted, frobenius(z))):
-            lhs = factor * li_inv
-            if not (lhs + rhs).is_zero():
-                bad.append({"z": list(z.coeffs), "lhs": list(lhs.coeffs),
-                            "rhs": list(rhs.coeffs)})
+        e = index.get(li[-i % order])  # None where li_{n-1}(1/z) = 0
+        rhs = tuple([sign * c % p for c in li[i]])
+        for bad, step in ((plain, i), (twisted, i * p)):
+            lhs = zero if e is None else walk[(step + e) % order]
+            if any((a + b) % p for a, b in zip(lhs, rhs)):
+                bad.append({"z": list(z.coeffs), "lhs": list(lhs), "rhs": list(rhs)})
     return (InversionReport(field.p, field.k, n, order, plain),
             InversionReport(field.p, field.k, n, order, twisted))
 

@@ -97,10 +97,13 @@ def delprop_check(
     Mf = default_f_order(A, n + 1) if M is None else M
     # the weight of log^j(S) f_{n+1-j} is (-1)^{n-j} (n-j)! C(n, n-j) = (-1)^{n-j} n!/j!
     weights = [(-1) ** (n - j) * math.perm(n, n - j) for j in range(n + 1)]
+    families = {}  # the f family about alpha = teich(zbar), built once per residue
 
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
         x = ev.xpoint(zbar, w)
-        fs = f_series(ctx, x.alpha, n + 1, Mf)
+        if zbar.coeffs not in families:
+            families[zbar.coeffs] = f_series(ctx, x.alpha, n + 1, Mf)
+        fs = families[zbar.coeffs]
         u = (x.alpha * w).shift(1)  # S - z = alpha p w
         logS = ev.log_at(x)
         fvals = [fs[kk + 1].eval_at(u, target=1) for kk in range(n + 1)]

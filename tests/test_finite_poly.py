@@ -3,6 +3,8 @@
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polylogp.finite_poly import (
     FiniteField,
@@ -13,6 +15,7 @@ from polylogp.finite_poly import (
     inversion_identities,
     is_irreducible,
     li_finite,
+    li_finite_walk,
     lowest_irreducible,
     poly_frobenius,
     poly_inverse,
@@ -87,6 +90,25 @@ def test_li_finite_matches_the_element_loop_everywhere(p, k):
             got = li_finite(n, x)
             assert got.field is field
             assert got.coeffs == _li_finite_by_elements(n, x).coeffs, (p, k, n, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((3, 5, 7, 11, 13)), st.integers(1, 3), st.integers(0, 6))
+@example(3, 5, 4)  # F_{3^5}
+@example(3, 1, 0)  # F_3: the walk is 1, 2
+def test_li_walk_sweep_is_li_finite_at_every_unit(p, k, n):
+    # entry i is li_n(g^i) from the walk's own entries, field for field
+    field = FiniteField(p, k)
+    walk = unit_powers(p, k)
+    sweep = li_finite_walk(n, field)
+    assert len(sweep) == len(walk) == field.order - 1
+    for c, value in zip(walk, sweep):
+        assert value == li_finite(n, FpkElement(field, c)).coeffs, (p, k, n, c)
+
+
+def test_li_walk_sweep_rejects_a_negative_weight():
+    with pytest.raises(ValueError):
+        li_finite_walk(-1, FiniteField(5, 2))
 
 
 def test_li_frozen_values_p5():
@@ -300,28 +322,24 @@ def test_one_pass_inversion_matches_the_direct_loops(cell):
 
 
 def test_inversion_ring_work_is_bounded(monkeypatch):
-    # one li_{n-1} per unit, and 1/z from the walk with no inversion; the
-    # counterexamples are those of the direct loops, in the same order
+    # li_{n-1}, 1/z and both products are read off the unit walk: no li_finite,
+    # ring product or inversion; the counterexamples are those of the direct
+    # loops, in the same order (one li_finite per unit before the walk sweep)
     field = FiniteField(7, 3)
     plain, twisted = inversion_identities(3, field)
     assert plain.counterexamples == _inversion_loop(3, field, 1)[1]
     assert twisted.counterexamples == _inversion_loop(3, field, 7)[1] == []
-    li_calls, inverse_calls = [], []
-    li, inverse = finite_poly.li_finite, finite_poly.poly_inverse
+    calls = []
+    for name in ("li_finite", "poly_mul", "poly_inverse"):
+        original = getattr(finite_poly, name)
 
-    def counted_li(n, x):
-        li_calls.append(x)
-        return li(n, x)
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
 
-    def counted_inverse(a, h, p, r):
-        inverse_calls.append(a)
-        return inverse(a, h, p, r)
-
-    monkeypatch.setattr(finite_poly, "li_finite", counted_li)
-    monkeypatch.setattr(finite_poly, "poly_inverse", counted_inverse)
+        monkeypatch.setattr(finite_poly, name, counted)
     assert inversion_identities(3, field) == (plain, twisted)
-    assert len(li_calls) == field.order - 1
-    assert inverse_calls == []
+    assert calls == []
 
 
 def test_one_pass_inversion_covers_the_full_matrix_fields():

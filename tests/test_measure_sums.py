@@ -1,6 +1,7 @@
 """The closed-form measure sum against the direct Riemann loop, against
 Coleman's inversion and distribution relations for Li^(p)_n, and against
-the Witt Frobenius: one sum serves a whole Frobenius orbit."""
+the Witt Frobenius: one sum serves a whole Frobenius orbit, and so does one
+orbit-formula value of Li_n at a root of unity."""
 
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from polylogp.coleman import PolylogEvaluator, check_corollary
 from polylogp.finite_poly import FiniteField, frobenius
-from polylogp.padic_core import UnramifiedCtx, residue, teichmuller
+from polylogp.padic_core import UnramifiedCtx, residue, teichmuller, teichmuller_powers
 
 PRIMES = (3, 5, 7, 11, 13)
 WEIGHTS = (0, 1, 2, 3, 4)
@@ -165,6 +166,56 @@ def test_corollary_makes_one_measure_sum_per_frobenius_orbit(monkeypatch, p, k, 
     calls = _count_measure_sums(monkeypatch)
     assert check_corollary(p, k, ns=(1,))["pass"]
     assert len(calls) == sums
+
+
+def _count_riemann_reads(monkeypatch) -> list:
+    calls = []
+    li_p_riemann = PolylogEvaluator.li_p_riemann
+
+    def counted(self, z, n):
+        calls.append((z, n))
+        return li_p_riemann(self, z, n)
+
+    monkeypatch.setattr(PolylogEvaluator, "li_p_riemann", counted)
+    return calls
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(st.sampled_from(PRIMES), st.sampled_from((2, 3, 5)), st.integers(2, 6),
+                 st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 4)))
+@example((3, 5, 4, 2, 100, 2))  # F_{3^5}
+@example((5, 3, 5, 3, 0, 3))  # residue 2 lies in F_5: an orbit of one point
+def test_one_orbit_sum_serves_the_frobenius_orbit(case):
+    # Li_n(phi alpha) = phi Li_n(alpha): after one li_n_teich(alpha, n), no
+    # further orbit sum runs (an orbit sum reads li_p_riemann k times), and
+    # every conjugate equals a fresh evaluator's value, field for field
+    p, k, A, m, t, n = case
+    assume(p**k <= 400)
+    ctx = UnramifiedCtx(p, k, A)
+    alpha = teichmuller(ctx, ctx.residue_field.from_int(2 + t % (p**k - 2)))
+    conjugates = [alpha]
+    for _ in range(k - 1):
+        conjugates.append(conjugates[-1].frobenius())
+    ev = PolylogEvaluator(ctx, m, max_weight=n)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_riemann_reads(monkeypatch)
+        ev.li_n_teich(alpha, n)
+        assert len(calls) == k
+        served = [ev.li_n_teich(zi, n) for zi in conjugates]
+        assert len(calls) == k
+    for i, zi in enumerate(conjugates):
+        assert served[i] == PolylogEvaluator(ctx, m, max_weight=n).li_n_teich(zi, n), i
+
+
+@pytest.mark.parametrize("p, k, orbits", [(5, 3, 43), (7, 2, 26), (3, 5, 49), (13, 1, 11)])
+def test_corollary_makes_one_orbit_sum_per_orbit_and_weight(monkeypatch, p, k, orbits):
+    # a deterministic count, not a timing: one orbit sum (k li_p_riemann
+    # reads) per Frobenius orbit and weight, not one per residue and weight
+    assert _frobenius_orbits(p, k) == orbits
+    ns = (1, 2, 3)
+    calls = _count_riemann_reads(monkeypatch)
+    assert check_corollary(p, k, ns=ns)["pass"]
+    assert len(calls) == k * orbits * len(ns)
 
 
 @settings(max_examples=30, deadline=None)

@@ -123,9 +123,9 @@ EDGES = ({"A": 1}, {"A": 3}, {"A": 30}, {"m": 1}, {"M": 1}, {"M": 2})
 
 
 def _degrees(name, p):
-    # inversion takes no edge knob and is cheap on every field; the corollary
-    # sweeps all of F_{p^3}^*, so it runs at k = 3 on F_27 and F_125 only
-    if name == "inversion" or (name == "corollary" and p < 7):
+    # inversion takes no edge knob, and both read the unit walk, so they are
+    # cheap on every field; the corollary sweeps all of F_{p^3}^*, up to F_343
+    if name in ("inversion", "corollary"):
         return (1, 2, 3)
     return (1, 2)
 
@@ -171,4 +171,4 @@ def test_bounded_sweep_reports_or_rejects_every_edge_cell():
             assert all("precisionShortfall" in r for r in failing), (spec.name, kwargs)
             if not report["pass"] and not failing:
                 assert "precisionShortfall" in report, (spec.name, kwargs)
-    assert calls == 1148 and 0 < rejected < calls
+    assert calls == 1164 and 0 < rejected < calls

@@ -121,9 +121,11 @@ def test_dz_series_starts_at_order_one():
 
 
 def test_section3_cells_build_only_what_they_read(monkeypatch):
-    # a deterministic count, not a timing: delprop reads f_1..f_{n+1}, so it
-    # integrates in u n+1 times per record; f-lemmas reads f_0..f_n and dz_k at
-    # k = max(n, 1), so n + k - 1 times, and lifts each residue once per cell
+    # a deterministic count, not a timing: delprop reads f_1..f_{n+1} about
+    # the lift of each residue, so it integrates in u n+1 times per distinct
+    # residue; f-lemmas reads f_0..f_n and dz_k at k = max(n, 1) about z, so
+    # n + k - 1 times per record, and lifts each residue once per cell.  408
+    # integrations in all; 530 when delprop built a family per record
     integrations, lifts = [0], [0]
     integrate, teichmuller = TruncSeries.integrate, coleman.teichmuller
 
@@ -139,18 +141,20 @@ def test_section3_cells_build_only_what_they_read(monkeypatch):
     for module in (coleman, section3):
         monkeypatch.setattr(module, "teichmuller", counted_teichmuller, raising=False)
     total = 0
-    for name, per_record in (("delprop", lambda n: n + 1),
-                             ("f-lemmas", lambda n: n + max(n, 1) - 1)):
+    for name, per_build in (("delprop", lambda n: n + 1),
+                            ("f-lemmas", lambda n: n + max(n, 1) - 1)):
         for cell in CHECKS[name].full:
             integrations[0] = lifts[0] = 0
             report = CHECKS[name].run(**cell)
             recs = report["perSample"]
+            residues = len({tuple(r["zbar"]) for r in recs})
+            builds = residues if name == "delprop" else len(recs)
             assert report["pass"], cell
-            assert integrations[0] == len(recs) * per_record(cell["n"]), (name, cell)
+            assert integrations[0] == builds * per_build(cell["n"]), (name, cell)
             if name == "f-lemmas":
-                assert lifts[0] == len({tuple(r["zbar"]) for r in recs}), cell
+                assert lifts[0] == residues, cell
             total += integrations[0]
-    assert total == 530
+    assert total == 408
 
 
 def test_delprop_zero_weight_reduces_to_li1():
