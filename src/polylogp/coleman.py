@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .finite_poly import (FpkElement, frobenius, li_finite, li_finite_walk, poly_inverse,
-                          poly_mul, sigma, unit_powers)
+from .finite_poly import (FpkElement, frobenius, li_finite, li_finite_walk, poly_frobenius,
+                          poly_inverse, poly_mul, sigma, unit_powers, walk_index)
 from .identities import a_coeffs
 from .padic_core import (
     UnramifiedCtx,
@@ -82,13 +83,25 @@ class XPoint:
         return XPoint.from_alpha_w(ctx, self.alpha.inv(), w_inv)
 
 
+@dataclass
+class MeasureBase:
+    """The weight-free part of the measure sums over one Frobenius orbit
+    (``PolylogEvaluator._measure_base``); H_e is summed on first use."""
+
+    orbit: list  # z, phi(z), ..., phi^{k-1}(z)
+    z_rows: list  # the coordinate rows of z^{a0}, 0 < a0 < p
+    G: list
+    inv_factor: WittApprox  # 1/(1 - z^{p^m})
+    H: dict
+
+
 class PolylogEvaluator:
     """Caches and drives polylogarithm computation for one context.
 
-    ``riemann_m`` fixes the measure-sum modulus (certified error p^-m);
-    ``max_weight`` is the largest weight the run needs, so one measure-sum
-    evaluation per point serves every weight at once; ``series_order`` is the
-    disc-series truncation M.  Both default to enough for weight ``max_weight``.
+    ``riemann_m`` fixes the measure-sum modulus (certified error p^-m) and
+    ``series_order`` the disc-series truncation M.  ``max_weight`` only sets
+    their defaults, enough for weight ``max_weight``: each weight of a
+    measure sum is summed when it is first read.
     """
 
     def __init__(
@@ -109,11 +122,11 @@ class PolylogEvaluator:
             raise ValueError("series order must be >= 1")
         self.ctx = ctx
         self.m = riemann_m
-        self.max_weight = max_weight
         self.series_order = series_order
         self.trace = trace
         self._teich: dict = {}
         self._lip: dict = {}
+        self._h_scalars: dict = {}
         self._li_teich: dict = {}
         self._litilde: dict = {}
         self._g: dict = {}
@@ -128,6 +141,13 @@ class PolylogEvaluator:
             self._teich[key] = teichmuller(self.ctx, zbar)
         return self._teich[key]
 
+    def teich_walk(self) -> list:
+        """The lifts omega(g)^i of ``teichmuller_powers``, entered into the
+        ``teich`` memo under their residues g^i."""
+        lifts = teichmuller_powers(self.ctx)
+        self._teich.update(zip(unit_powers(self.ctx.p, self.ctx.k), lifts))
+        return lifts
+
     def xpoint(self, zbar: FpkElement, w: WittApprox) -> XPoint:
         return XPoint.from_alpha_w(self.ctx, self.teich(zbar), w)
 
@@ -139,52 +159,56 @@ class PolylogEvaluator:
         The integrand x^{-n} is constant mod p^m on each cell and the measure
         takes integral values here, so the certified absolute error is p^-m.
 
-        One measure sum serves the whole Frobenius orbit of z: a miss at z
-        also memoizes phi^i of each value at phi^i(z), i < k.  That is the
+        One weight-free build (``_measure_base``) serves the Frobenius orbit
+        of z, and a weight read at any conjugate is summed once, at z, then
+        memoized as phi^i of that value at phi^i(z), i < k.  That is the
         value a fresh evaluation at phi^i(z) gives, field for field.  The sum
         sum_{p∤a<p^m} a^{-n} z^a / (1 - z^{p^m}) has its scalars a^{-n} in Z_p,
         which phi fixes, and every step is a ring operation that commutes
-        with phi: ``poly_mul`` and ``poly_inverse`` (so z^a, 1 - z^{p^m} and
-        its inverse), integer combinations, and reduction mod p^r.  And
-        phi(z) mod p^prec depends on z mod p^prec only, so S(phi z) and
-        phi(S(z)) agree mod p^prec; ``make`` and ``cap_abs`` normalize by
-        valuations, which phi preserves, then cap at min(m, prec) <= prec.
+        with phi: ``poly_mul``, ``poly_frobenius`` and ``poly_inverse`` (so
+        z^a, 1 - z^{p^m} and its inverse), integer combinations, and
+        reduction mod p^r.  And phi(z) mod p^prec depends on z mod p^prec
+        only, so S(phi z) and phi(S(z)) agree mod p^prec; ``make`` and
+        ``cap_abs`` normalize by valuations, which phi preserves, then cap
+        at min(m, prec) <= prec.
         """
         if n < 0:
             raise ValueError("weight must be >= 0")
-        m = self.m
         key = (z.scale, z.coeffs, z.prec)
-        cached = self._lip.setdefault(key, {})
-        if n not in cached:
-            want = set(range(0, max(n, self.max_weight) + 1)) - set(cached)
-            ctx = self.ctx
-            sums, inv_cell = self._measure_sums(z, sorted(want), m)
-            inv_factor = ctx.make(0, inv_cell, z.prec)  # 1/(1 - z^{p^m})
-            certified = min(m, z.prec)
-            values = {nn: (ctx.make(0, vec, ctx.A) * inv_factor).cap_abs(certified)
-                      for nn, vec in sums.items()}
-            cached.update(values)
-            zi = z
-            for _ in range(ctx.k - 1):  # S(phi^i z) = phi^i S(z)
-                zi = zi.frobenius()
-                values = {nn: v.frobenius() for nn, v in values.items()}
-                self._lip.setdefault((zi.scale, zi.coeffs, zi.prec), {}).update(values)
-        return cached[n]
+        if key not in self._lip:  # a new orbit
+            base = self._measure_base(z)
+            for zi in base.orbit:
+                self._lip[(zi.scale, zi.coeffs, zi.prec)] = (base, {})
+        base, values = self._lip[key]
+        if n not in values:
+            value = self.ctx.make(0, self._weight_sum(base, n), self.ctx.A) * base.inv_factor
+            value = value.cap_abs(min(self.m, z.prec))
+            for i, zi in enumerate(base.orbit):  # S(phi^i z) = phi^i S(z)
+                if i:
+                    value = value.frobenius()
+                self._lip[(zi.scale, zi.coeffs, zi.prec)][1][n] = value
+        return values[n]
 
-    def _measure_sums(self, z: WittApprox, ns: list, m: int) -> tuple:
-        """S_n = sum_{p∤a<p^m} a^{-n} z^a mod p^min(m,A) for each n in ns.
+    def _measure_base(self, z: WittApprox) -> MeasureBase:
+        """The weight-free part of S_n = sum_{p∤a<p^m} a^{-n} z^a mod p^min(m,A).
 
         Writing a = a0 + p t (0 < a0 < p, 0 <= t < T = p^{m-1}),
         (a0 + pt)^{-n} = a0^{-n} sum_{j<m} C(-n,j) (pt/a0)^j exactly mod p^m,
-        so S_n = sum_j C(-n,j) p^j G_j H_{n+j} with
+        so S_n = sum_j C(-n,j) p^j G_j H_{n+j} (``_weight_sum``) with
         G_j = sum_{t<T} t^j y^t (y = z^p, shared by every weight) and
         H_e = sum_{a0<p} a0^{-e} z^{a0}.  As 1 - y is a unit on the locus,
         the G_j follow from the telescoping recurrence
         (1-y) G_j = sum_{i<j} C(j,i)(-1)^{j-i+1} G_i + (-1)^j - (T-1)^j y^T,
-        where y^T = z^{p^m}.  Cost O(p m + m^2) ring ops.
+        where y^T = z^{p^m}, and G_0 = prod_{d<m-1} sum_{s<p} y^{s p^d}, one
+        base-p digit of t at a time.  Cost O(p m + m^2) ring ops.
 
-        Returns the S_n as coefficient vectors mod p^A, and 1/(1 - z^{p^m})
-        mod p^A, the denominator of the cell measure.
+        At the evaluator's Teichmuller lift z of a residue, a root of unity,
+        phi(z) = z^p (``WittApprox.frobenius``), and phi is a ring
+        automorphism of W/p^A, so y^{s p^d} = phi^{d+1}(z^s), each digit's
+        block is phi^{d+1}(B) with B = sum_{s<p} z^s, and y^T = phi^m(z).
+        Both ways give the same element of W/p^A, so the same vector, but
+        G_0 then costs max(m-2, 0) products and m Frobenius maps
+        (``poly_frobenius``, O(k^2) each) instead of 1 + (m-1)(p+1) products.
         """
         ctx = self.ctx
         if z.scale != 0:
@@ -192,24 +216,29 @@ class PolylogEvaluator:
         zbar = residue(z)
         if zbar.is_zero() or zbar.is_one():
             raise ValueError("measure requires |z| = |z-1| = 1")
-        p, pA, k, h = ctx.p, ctx.pA, ctx.k, ctx.hbar
+        p, pA, k, h, m = ctx.p, ctx.pA, ctx.k, ctx.hbar, self.m
         one = (1,) + (0,) * (k - 1)
         zvec = z.coeffs
         z_pows = [zvec]  # z^{a0} for 0 < a0 < p
         for _ in range(p - 2):
             z_pows.append(poly_mul(z_pows[-1], zvec, h, pA))
-        y = poly_mul(z_pows[-1], zvec, h, pA)
-        # G_0 = sum_{t<T} y^t one base-p digit of T at a time:
-        # sum_{t<pS} y^t = sum_{t<S} y^t * sum_{s<p} y^{sS}
-        g0, y_s = one, y
-        for _ in range(m - 1):
-            block, term = list(one), one
-            for _ in range(p - 1):
-                term = poly_mul(term, y_s, h, pA)
-                block = [b + c for b, c in zip(block, term)]
-            g0 = poly_mul(g0, tuple(c % pA for c in block), h, pA)
-            y_s = poly_mul(term, y_s, h, pA)
-        z_top = y_s  # y^T = z^{p^m}
+        if self._teich.get(zbar.coeffs) == z:  # a root of unity
+            b = tuple([sum(col) % pA for col in zip(one, *z_pows)])
+            blocks = [poly_frobenius(b, d + 1, h, p, ctx.A) for d in range(m - 1)]
+            z_top = poly_frobenius(zvec, m, h, p, ctx.A)
+        else:
+            blocks, y_s = [], poly_mul(z_pows[-1], zvec, h, pA)  # y_s = y^{p^d}, y = z^p
+            for _ in range(m - 1):
+                block, term = list(one), one
+                for _ in range(p - 1):
+                    term = poly_mul(term, y_s, h, pA)
+                    block = [b + c for b, c in zip(block, term)]
+                blocks.append(tuple([c % pA for c in block]))
+                y_s = poly_mul(term, y_s, h, pA)
+            z_top = y_s  # y^T = z^{p^m}
+        g0 = blocks[0] if blocks else one
+        for block in blocks[1:]:
+            g0 = poly_mul(g0, block, h, pA)
         one_minus_top = ((1 - z_top[0]) % pA,) + tuple(-c % pA for c in z_top[1:])
         inv_cell = poly_inverse(one_minus_top, h, p, ctx.A)
         # (1 - y) G_0 = 1 - y^T
@@ -227,29 +256,31 @@ class PolylogEvaluator:
             for r in range(k):
                 rhs[r] -= top * z_top[r]
             G.append(poly_mul(tuple(c % pA for c in rhs), inv_one_minus_y, h, pA))
-        H = {}
-        invs = [pow(a0, -1, pA) for a0 in range(1, p)]
-        lo = min(ns)
-        scalars = [pow(c, lo, pA) for c in invs]
-        for e in range(lo, max(ns) + J):
-            acc = [0] * k
-            for c, zv in zip(scalars, z_pows):
-                for r in range(k):
-                    acc[r] += c * zv[r]
-            H[e] = tuple(c % pA for c in acc)
-            scalars = [c * iv % pA for c, iv in zip(scalars, invs)]
-        sums = {}
-        for n in ns:
-            acc = [0] * k
-            binom = 1  # C(-n, j)
-            for j in range(J if n else 1):  # C(0, j) = 0 for j > 0
-                c = binom * p**j
-                prod = poly_mul(G[j], H[n + j], h, pA)
-                for r in range(k):
-                    acc[r] += c * prod[r]
-                binom = binom * (-n - j) // (j + 1)
-            sums[n] = tuple(c % pA for c in acc)
-        return sums, inv_cell
+        orbit = [z]
+        for _ in range(k - 1):
+            orbit.append(orbit[-1].frobenius())
+        return MeasureBase(orbit, list(zip(*z_pows)), G, ctx.make(0, inv_cell, z.prec), {})
+
+    def _weight_sum(self, base: MeasureBase, n: int) -> tuple:
+        """S_n = sum_{j<J} C(-n,j) p^j G_j H_{n+j} mod p^A, J = min(m, A), as a
+        coefficient vector: J products on the weight-free ``base``."""
+        ctx = self.ctx
+        p, pA, k, h = ctx.p, ctx.pA, ctx.k, ctx.hbar
+        acc = [0] * k
+        binom = 1  # C(-n, j)
+        for j, g in enumerate(base.G if n else base.G[:1]):  # C(0, j) = 0 for j > 0
+            e = n + j
+            if e not in base.H:
+                if e not in self._h_scalars:
+                    self._h_scalars[e] = [pow(a0, -e, pA) for a0 in range(1, p)]
+                scalars = self._h_scalars[e]
+                base.H[e] = tuple([sum(map(mul, scalars, row)) % pA for row in base.z_rows])
+            c = binom * p**j
+            prod = poly_mul(g, base.H[e], h, pA)
+            for r in range(k):
+                acc[r] += c * prod[r]
+            binom = binom * (-n - j) // (j + 1)
+        return tuple(c % pA for c in acc)
 
     # -- Teichmuller closed formula ---------------------------------------------
 
@@ -260,7 +291,9 @@ class PolylogEvaluator:
         orbit, with L = Li^{(p)}_n from ``li_p_riemann``, and certifies the
         valuation is at least n.  The orbit steps by the Witt Frobenius,
         which is alpha -> alpha^p at a root of unity (``WittApprox.frobenius``),
-        and its k values of L come from one measure sum (``li_p_riemann``).
+        and its k values of L come from one measure sum (``li_p_riemann``),
+        which takes its p-th powers by the Frobenius.  That needs alpha to be
+        the evaluator's Teichmuller lift of its residue; else ValueError.
 
         One orbit sum serves the whole orbit: a miss at alpha also memoizes
         phi^i of its value as the value at phi^i(alpha), i < k, which is what
@@ -276,6 +309,8 @@ class PolylogEvaluator:
             raise ValueError("weight must be >= 1 here; weight 0 is z/(1-z)")
         key = (alpha.scale, alpha.coeffs, alpha.prec, n)
         if key not in self._li_teich:
+            if self.teich(residue(alpha)) != alpha:
+                raise ValueError("li_n_teich needs the Teichmuller lift of a residue")
             ctx = self.ctx
             p, k = ctx.p, ctx.k
             orbit = [alpha]
@@ -518,7 +553,8 @@ def check_corollary(
     extra digit of valuation; that sharpening is asserted as well.  The
     records stay in integer-encoding order of alphabar, and every other
     value is read off one walk g^i of the unit group: the lifts alpha
-    (``teichmuller_powers``) and the finite side.  With alphabar = g^i and
+    (``teichmuller_powers``, entered into the evaluator's ``teich`` memo)
+    and the finite side.  With alphabar = g^i and
     1 - alphabar = g^j, sigma(alphabar) = g^{i p^{k-1}}, so li_n(sigma
     alphabar) is entry i p^{k-1} mod q-1 of ``li_finite_walk``; when it is
     g^e, the finite side is -g^{e-j}, and 0 when li_n vanishes.  The p-adic
@@ -532,8 +568,8 @@ def check_corollary(
     minus_one = -field.one()
     walk = unit_powers(p, k)
     order = len(walk)
-    index = {c: i for i, c in enumerate(walk)}
-    lifts = teichmuller_powers(ctx)
+    index = walk_index(p, k)
+    lifts = ev.teich_walk()
     li = {n: li_finite_walk(n, field) for n in ns}
     turn = p ** (k - 1)  # sigma(g^i) = g^{i p^{k-1}}
 

@@ -9,10 +9,11 @@ and ``poly_pow`` multiply; ``poly_frobenius`` applies a power of the Witt
 Frobenius phi, which is y -> y^{p^e} at r = 1, as a cached linear map; and
 ``poly_inverse`` inverts a unit by the norm mod p, Newton-lifted to p^r.
 ``unit_powers`` lists the cyclic group F_{p^k}^* as the powers of one
-primitive root, so an exhaustive sweep can walk it and read 1/z = g^{-i} off
-the walk.  On that walk x^j is a table read, g^{ij mod (q-1)}, so
-``li_finite_walk`` gives li_n at every unit as sums of table rows with no
-ring product, and a product of two walk entries is a sum of their indices.
+primitive root, and ``walk_index`` maps each unit back to its index, so an
+exhaustive sweep can walk it and read 1/z = g^{-i} off the walk.  On that
+walk x^j is a table read, g^{ij mod (q-1)}, so ``li_finite_walk`` gives li_n
+at every unit as sums of table rows with no ring product, and a product of
+two walk entries is a sum of their indices.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from types import MappingProxyType
 
 
 def poly_mul(a: tuple, b: tuple, h: tuple, pm: int) -> tuple:
@@ -351,6 +353,13 @@ def unit_powers(p: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def walk_index(p: int, k: int) -> MappingProxyType:
+    """The index i of each unit g^i of ``unit_powers``, keyed by coefficient
+    tuple: a read-only map, built once per (p, k)."""
+    return MappingProxyType({c: i for i, c in enumerate(unit_powers(p, k))})
+
+
+@lru_cache(maxsize=None)
 def _li_coeff_table(p: int, n: int) -> tuple:
     """j^{-n} mod p for j = 2..p-1 (index j-2); the j = 1 term of li_n is x."""
     return tuple(pow(j, -n, p) if n else 1 for j in range(2, p))
@@ -435,7 +444,7 @@ def inversion_identities(n: int, field: FiniteField) -> tuple:
     sign = -1 if n % 2 else 1
     p, walk = field.p, unit_powers(field.p, field.k)
     order = len(walk)
-    index = {c: i for i, c in enumerate(walk)}
+    index = walk_index(field.p, field.k)
     li = li_finite_walk(n - 1, field)
     zero = (0,) * field.k
     plain, twisted = [], []

@@ -22,6 +22,7 @@ from polylogp.finite_poly import (
     poly_pow,
     sigma,
     unit_powers,
+    walk_index,
 )
 from polylogp import finite_poly
 from polylogp.matrix import CHECKS
@@ -249,6 +250,9 @@ def test_unit_powers_walk_every_unit_once_from_one(p, k):
     for t in range(1, next(t for t in range(q) if field.from_int(t) == g)):
         assert _multiplicative_order(field.from_int(t)) < q - 1, t
     assert unit_powers(p, k) is powers  # built once per field
+    index = walk_index(p, k)
+    assert [index[c] for c in powers] == list(range(q - 1))
+    assert walk_index(p, k) is index
 
 
 def test_sigma_fixes_zero_and_one():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from polylogp.coleman import PolylogEvaluator, check_corollary
+from polylogp.coleman import PolylogEvaluator, check_corollary, check_prop_reduction
 from polylogp.finite_poly import FiniteField, frobenius
 from polylogp.padic_core import UnramifiedCtx, residue, teichmuller, teichmuller_powers
 
@@ -100,16 +100,22 @@ def test_closed_form_matches_direct_loop(case):
         assert ev.li_p_riemann(z, n) == expected[n], n
 
 
-def _count_measure_sums(monkeypatch) -> list:
+def _count_calls(monkeypatch, name) -> list:
+    """Record the arguments of each call of the evaluator method ``name``."""
     calls = []
-    measure_sums = PolylogEvaluator._measure_sums
+    method = getattr(PolylogEvaluator, name)
 
-    def counted(self, z, ns, m):
-        calls.append(z)
-        return measure_sums(self, z, ns, m)
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
 
-    monkeypatch.setattr(PolylogEvaluator, "_measure_sums", counted)
+    monkeypatch.setattr(PolylogEvaluator, name, counted)
     return calls
+
+
+def _count_measure_sums(monkeypatch) -> list:
+    # one weight-free build (``_measure_base``) is one measure sum's shared part
+    return _count_calls(monkeypatch, "_measure_base")
 
 
 @settings(max_examples=25, deadline=None)
@@ -118,9 +124,9 @@ def _count_measure_sums(monkeypatch) -> list:
 @example((5, 4, 3, 2, 200, (1, 2, 3, 4)))  # F_{5^4}
 @example((7, 3, 2, 4, 100, (3, 5, 1)))  # m > A
 def test_one_measure_sum_serves_the_frobenius_orbit(case):
-    # S(phi z) = phi S(z): after one call at z, every weight at every
-    # conjugate phi^i(z) is read from the memo, and equals both a fresh
-    # evaluator's value and the direct loop's, field for field
+    # S(phi z) = phi S(z): one weight-free build at z serves every weight
+    # at every conjugate phi^i(z), and each value equals both a fresh
+    # evaluator's and the direct loop's, field for field
     p, k, A, m, t, lift = case
     ctx = UnramifiedCtx(p, k, A)
     z = locus_point(ctx, t, lift)
@@ -160,8 +166,8 @@ def _frobenius_orbits(p: int, k: int) -> int:
 
 @pytest.mark.parametrize("p, k, sums", [(13, 2, 89), (7, 3, 117), (3, 5, 49), (13, 1, 11)])
 def test_corollary_makes_one_measure_sum_per_frobenius_orbit(monkeypatch, p, k, sums):
-    # a deterministic count, not a timing: 167, 341, 241 and 11 sums when
-    # each point of an orbit ran its own
+    # a deterministic count, not a timing, of weight-free builds: 167, 341,
+    # 241 and 11 when each point of an orbit ran its own
     assert _frobenius_orbits(p, k) == sums
     calls = _count_measure_sums(monkeypatch)
     assert check_corollary(p, k, ns=(1,))["pass"]
@@ -169,15 +175,7 @@ def test_corollary_makes_one_measure_sum_per_frobenius_orbit(monkeypatch, p, k, 
 
 
 def _count_riemann_reads(monkeypatch) -> list:
-    calls = []
-    li_p_riemann = PolylogEvaluator.li_p_riemann
-
-    def counted(self, z, n):
-        calls.append((z, n))
-        return li_p_riemann(self, z, n)
-
-    monkeypatch.setattr(PolylogEvaluator, "li_p_riemann", counted)
-    return calls
+    return _count_calls(monkeypatch, "li_p_riemann")
 
 
 @settings(max_examples=20, deadline=None)
@@ -216,6 +214,74 @@ def test_corollary_makes_one_orbit_sum_per_orbit_and_weight(monkeypatch, p, k, o
     calls = _count_riemann_reads(monkeypatch)
     assert check_corollary(p, k, ns=ns)["pass"]
     assert len(calls) == k * orbits * len(ns)
+
+
+@pytest.mark.parametrize("p, k, n, orbits", [(5, 3, 2, 43), (7, 2, 3, 26), (13, 1, 1, 11)])
+def test_corollary_sums_each_weight_once_per_orbit(monkeypatch, p, k, n, orbits):
+    # a deterministic count: one per-weight sum per orbit for the one weight
+    # read, not one for every weight up to the evaluator's default
+    calls = _count_calls(monkeypatch, "_weight_sum")
+    assert check_corollary(p, k, ns=(n,))["pass"]
+    assert [w for _, w in calls] == [n] * orbits
+
+
+@pytest.mark.parametrize("p, n, k, samples", [(5, 2, 2, 10), (7, 3, 1, 6)])
+def test_proposition1_sums_one_weight_per_point(monkeypatch, p, n, k, samples):
+    calls = _count_calls(monkeypatch, "_weight_sum")
+    assert check_prop_reduction(p, n, k, samples=samples)["pass"]
+    assert [w for _, w in calls] == [n] * samples
+
+
+def _orbit_formula(ctx, riemann, n):
+    """li_n_teich's orbit sum over the values L(phi^i alpha) in ``riemann``."""
+    p, k = ctx.p, ctx.k
+    acc = ctx.exact_zero()
+    for i, value in enumerate(riemann):
+        acc = acc + value.shift((k - 1 - i) * n)
+    return acc.shift(n) * ctx.inv_int(p ** (k * n) - 1)
+
+
+@st.composite
+def teichmuller_reads(draw):
+    p, k = draw(st.sampled_from([(p, k) for p in PRIMES for k in range(1, 5)
+                                 if p**k <= 125]))
+    A, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    t = draw(st.integers(2, p**k - 1))
+    reads = draw(st.permutations([(i, n) for i in range(k) for n in WEIGHTS]))
+    return p, k, A, m, t, reads
+
+
+@settings(max_examples=25, deadline=None)
+@given(teichmuller_reads())
+@example((3, 4, 2, 1, 40, [(3, 1), (0, 0), (1, 4), (2, 2)]))  # m = 1
+@example((5, 3, 2, 4, 17, [(2, 3), (1, 1), (0, 2)]))  # m > A
+@example((11, 2, 3, 3, 100, [(1, 2), (0, 2), (1, 0)]))
+def test_root_of_unity_sums_match_the_direct_loop(case):
+    # the Frobenius path at a Teichmuller point: weights read in any order at
+    # the point and its conjugates, through li_n_teich and li_p_riemann,
+    # equal the direct loop's values field for field
+    p, k, A, m, t, reads = case
+    ctx = UnramifiedCtx(p, k, A)
+    ev = PolylogEvaluator(ctx, m)
+    conjugates = [ev.teich(ctx.residue_field.from_int(t))]
+    for _ in range(k - 1):
+        conjugates.append(conjugates[-1].frobenius())
+    expected = [direct_values(ctx, zi, m) for zi in conjugates]
+    for i, n in reads:
+        if n:
+            riemann = [expected[(i + j) % k][n] for j in range(k)]
+            assert ev.li_n_teich(conjugates[i], n) == _orbit_formula(ctx, riemann, n), (i, n)
+        assert ev.li_p_riemann(conjugates[i], n) == expected[i][n], (i, n)
+
+
+def test_li_n_teich_rejects_a_point_that_is_not_a_root_of_unity():
+    ctx = UnramifiedCtx(7, 2, 4)
+    ev = PolylogEvaluator(ctx, 3)
+    z = locus_point(ctx, 10, (1, 2))
+    assert z != ev.teich(residue(z))
+    with pytest.raises(ValueError, match="Teichmuller lift"):
+        ev.li_n_teich(z, 2)
+    assert ev.li_n_teich(ev.teich(residue(z)), 2).valuation_ge(2)
 
 
 @settings(max_examples=30, deadline=None)

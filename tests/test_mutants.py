@@ -9,7 +9,9 @@ compared on its own would keep passing under them.
 
 The walk rows misread the unit walk g^i behind the exhaustive sweeps, and
 pass when every named cell fails: a record whose finite side is 0 (li_n(-1)
-at even n, say) reads 0 under either mutant, so not every record can.
+at even n, say) reads 0 under either mutant, so not every record can.  The
+Frobenius row breaks the p-th powers of the measure sum at a root of unity
+and is judged the same way.
 """
 
 import pytest
@@ -67,25 +69,36 @@ def frobenius_for_sigma(original):
     return sweep
 
 
+def frobenius_one_power_short(original):
+    # phi^{e-1} in place of phi^e: the measure sum at a root of unity takes
+    # the digit blocks phi^{d+1}(B) and z^{p^m} = phi^m(z) one power short
+    def frob(a, e, h, p, r):
+        return original(a, e - 1, h, p, r)
+    return frob
+
+
 def _small(*names):
     return [(name, cell) for name in names for cell in CHECKS[name].small]
 
 
-# (row id, modules whose ``li_finite_walk`` is patched, mutant built from the
-# original, (check, cell) pairs that must fail)
+# (row id, modules whose attribute is patched, the attribute, mutant built
+# from the original, (check, cell) pairs that must fail)
 WALK_MUTANTS = [
-    ("walk-index-off-by-one", (finite_poly, coleman), walk_index_off_by_one,
-     _small("inversion", "corollary")),
-    ("frobenius-for-sigma", (coleman,), frobenius_for_sigma,
+    ("walk-index-off-by-one", (finite_poly, coleman), "li_finite_walk",
+     walk_index_off_by_one, _small("inversion", "corollary")),
+    ("frobenius-for-sigma", (coleman,), "li_finite_walk", frobenius_for_sigma,
      [("corollary", {"p": 5, "k": 3})]),
+    # phi is the identity on F_p, so no k = 1 cell can see this mutant
+    ("frobenius-one-power-short", (coleman,), "poly_frobenius", frobenius_one_power_short,
+     [("corollary", {"p": 5, "k": 2}), ("corollary", {"p": 5, "k": 3})]),
 ]
 
 
-@pytest.mark.parametrize("modules, mutant, cells", [row[1:] for row in WALK_MUTANTS],
+@pytest.mark.parametrize("modules, attr, mutant, cells", [row[1:] for row in WALK_MUTANTS],
                          ids=[row[0] for row in WALK_MUTANTS])
-def test_every_cell_fails_under_the_walk_mutant(monkeypatch, modules, mutant, cells):
+def test_every_cell_fails_under_the_walk_mutant(monkeypatch, modules, attr, mutant, cells):
     for module in modules:
-        monkeypatch.setattr(module, "li_finite_walk", mutant(module.li_finite_walk))
+        monkeypatch.setattr(module, attr, mutant(getattr(module, attr)))
     for name, cell in cells:
         out = CHECKS[name].run(**cell)
         assert out["perSample"] and not out["pass"], (name, cell)
