@@ -304,6 +304,9 @@ class PolylogEvaluator:
         by term: phi(L(x)) = L(phi x) field for field (``li_p_riemann``),
         phi^k = 1, and phi commutes with the sums, shifts and products that
         assemble the value and preserves the valuations they normalize by.
+        The orbit is the measure sum's base orbit rotated to start at alpha: the
+        vectors of k - 1 phi steps from alpha, as phi is an exact ring map on
+        (Z/p^r)[x]/(h) and phi^k = 1 there.
         """
         if n < 1:
             raise ValueError("weight must be >= 1 here; weight 0 is z/(1-z)")
@@ -313,11 +316,11 @@ class PolylogEvaluator:
                 raise ValueError("li_n_teich needs the Teichmuller lift of a residue")
             ctx = self.ctx
             p, k = ctx.p, ctx.k
-            orbit = [alpha]
-            for _ in range(k - 1):
-                orbit.append(orbit[-1].frobenius())
-            acc = ctx.exact_zero()
-            for i, zi in enumerate(orbit):
+            acc = self.li_p_riemann(alpha, n).shift((k - 1) * n)  # builds the base
+            orbit = self._lip[(alpha.scale, alpha.coeffs, alpha.prec)][0].orbit
+            i = orbit.index(alpha)
+            orbit = orbit[i:] + orbit[:i]
+            for i, zi in enumerate(orbit[1:], 1):
                 acc = acc + self.li_p_riemann(zi, n).shift((k - 1 - i) * n)
             value = acc.shift(n) * ctx.inv_int(p ** (k * n) - 1)
             if not value.valuation_ge(n):
@@ -375,8 +378,8 @@ class PolylogEvaluator:
         minus_p = ctx.from_int(-ctx.p)
         for j in range(start + 1, n + 1):
             integrated = g.over_linear(minus_p).integrate(slope, -j)
-            coeffs = [self.li_tilde(alpha, j), *integrated.coeffs[1:]]
-            g = store[j] = TruncSeries(ctx, "w", coeffs, integrated.tail)
+            states = (self.li_tilde(alpha, j).state, *integrated.states[1:])
+            g = store[j] = TruncSeries.from_states(ctx, "w", states, integrated.tail)
             if self.trace is not None:
                 self.trace({"series": "disc-series", "weight": j, **g.debug_info()})
         return store[n]

@@ -16,8 +16,10 @@ The interval rules are written once, on raw states: a state is the triple
 (scale, vec, prec), with vec the zero vector when prec == 0, or None for the
 exact zero.  ``normalize`` is the canonical form (``make``), ``mul_states``
 and ``add_states`` the product and the sum.  ``WittApprox`` operators wrap
-them, and the series layer folds and maps states through them, so it builds
-a value only for a coefficient it keeps.
+them; series hold states and fold them through these rules.  The rules read
+p^r from the table ``ctx.pows`` (r <= A; a sum of scales d > A apart takes
+p^d).  At k = 1, ``normalize`` divides the one entry 0 < c < p^rel by p while
+p | c, which gives the vector path's j = int_val(c) < rel and c // p^j.
 
 ``WittApprox`` values are immutable by convention: no method mutates one,
 every operation returns a new value.  The class is a slotted dataclass, not
@@ -84,9 +86,11 @@ class UnramifiedCtx:
         self.k = k
         self.A = A
         self.hbar = self.residue_field.hbar  # (c_0, ..., c_{k-1}, 1)
-        self.pA = p**A
+        self.pows = tuple(p**r for r in range(A + 1))  # p^0 .. p^A
+        self.pA = self.pows[A]
         self.zero_vec = (0,) * k
         self._inv_ints: dict = {}
+        self._inv_states: list = [None]
 
     def __eq__(self, other):
         return (
@@ -139,6 +143,12 @@ class UnramifiedCtx:
             inv = self._inv_ints[c] = self.from_int(c).inv()
         return inv
 
+    def inv_states(self, n: int) -> list:
+        """The states of 1/1, ..., 1/n, from ``inv_int``, kept once per context."""
+        states = self._inv_states
+        states += [self.inv_int(j).state for j in range(len(states), n + 1)]
+        return states[1 : n + 1]
+
     def from_vec(self, vec, scale: int = 0) -> "WittApprox":
         """Unit-or-zero element from k residues mod p^A, known to full precision."""
         return self.make(scale, tuple(vec), self.A)
@@ -167,7 +177,14 @@ def normalize(ctx: UnramifiedCtx, scale: int, vec, rel: int) -> tuple:
     if rel <= 0:
         return scale + rel, ctx.zero_vec, 0
     p = ctx.p
-    pm = p**rel
+    pm = ctx.pows[rel]
+    if ctx.k == 1:
+        c, j = vec[0] % pm, 0
+        if not c:
+            return scale + rel, ctx.zero_vec, 0
+        while not c % p:
+            c, j = c // p, j + 1
+        return scale + j, (c,), rel - j
     vec = tuple([c % pm for c in vec])
     j = rel
     for c in vec:
@@ -180,7 +197,7 @@ def normalize(ctx: UnramifiedCtx, scale: int, vec, rel: int) -> tuple:
     if j >= rel:
         return scale + rel, ctx.zero_vec, 0
     if j:  # each entry is below p^rel, so its quotient is below p^(rel-j)
-        pj = p**j
+        pj = ctx.pows[j]
         vec = tuple([c // pj for c in vec])
     return scale + j, vec, rel - j
 
@@ -195,7 +212,7 @@ def mul_states(ctx: UnramifiedCtx, a, b):
     if not ra or not rb:
         return sa + sb, ctx.zero_vec, 0
     r = ra if ra < rb else rb
-    return sa + sb, poly_mul(va, vb, ctx.hbar, ctx.p**r), r
+    return sa + sb, poly_mul(va, vb, ctx.hbar, ctx.pows[r]), r
 
 
 def add_states(ctx: UnramifiedCtx, a, b):
@@ -210,11 +227,13 @@ def add_states(ctx: UnramifiedCtx, a, b):
     # n - s <= A for s = min(sa, sb), the scale of an operand whose scale + prec
     # is >= n; an approximate zero adds its zero vector, and n <= s gives O(p^n)
     n = na if na < nb else nb
-    if sa <= sb:
-        f = ctx.p ** (sb - sa)
-        return normalize(ctx, sa, [x + f * y for x, y in zip(va, vb)], n - sa)
-    f = ctx.p ** (sa - sb)
-    return normalize(ctx, sb, [f * x + y for x, y in zip(va, vb)], n - sb)
+    if sa > sb:
+        sa, va, sb, vb = sb, vb, sa, va
+    d = sb - sa
+    f = ctx.pows[d] if d <= ctx.A else ctx.p**d
+    if ctx.k == 1:
+        return normalize(ctx, sa, (va[0] + f * vb[0],), n - sa)
+    return normalize(ctx, sa, [x + f * y for x, y in zip(va, vb)], n - sa)
 
 
 @dataclass(slots=True, unsafe_hash=True, repr=False)

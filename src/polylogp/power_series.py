@@ -1,6 +1,6 @@
 """Truncated power series over the capped-precision p-adic layer.
 
-A series stores coefficients c_0..c_M (each a WittApprox interval) together
+A series stores coefficients c_0..c_M (each an interval state) together
 with a certified affine tail bound: the true coefficient of every degree j
 satisfies v_p(c_j) >= slope*j + offset, for all j >= 0.  The bound is what
 makes evaluation on the closed unit disc sound: the contribution of the
@@ -14,10 +14,12 @@ slope to at most v_p(q); ``scalar_mul(c)`` adds v_p(c) to the offset;
 antiderivative of the exact function it expands.  Constructors that know a
 sharper bound for a series may also install it with ``with_tail``.
 
-One fold, h_j = c_j + q*h_{j-1}, is both ``over_linear`` and the Horner loop
-of ``eval_at``; one map, c_j * f_j, is both ``scalar_mul`` and ``integrate``.
-Both run the interval rules of ``padic_core`` on raw states, taking the steps
-of the per-operation loops, and build a value only for a kept coefficient.
+Series hold raw states (``WittApprox.state``), and ``coeffs`` builds values
+on read.  One fold, h_j = c_j + q*h_{j-1}, is both ``over_linear`` and the
+Horner loop of ``eval_at``; one map, c_j * f_j, is both ``scalar_mul`` and
+``integrate``.  Both take and return states through the interval rules of
+``padic_core``, the steps of the per-operation loops; ``eval_at`` wraps only
+its result.
 """
 
 from __future__ import annotations
@@ -29,21 +31,19 @@ from fractions import Fraction
 from .padic_core import PrecisionError, UnramifiedCtx, WittApprox, add_states, mul_states
 
 
-def fold(q: WittApprox, coeffs) -> list:
-    """The states h_0 = c_0, h_j = c_j + q*h_{j-1} of the values ``coeffs``."""
-    ctx = q.ctx
-    qs = q.state
-    h = coeffs[0].state
+def fold(ctx: UnramifiedCtx, q, states) -> list:
+    """The states h_0 = c_0, h_j = c_j + q*h_{j-1}, for states q and c_j."""
+    h = states[0]
     out = [h]
-    for c in coeffs[1:]:
-        h = add_states(ctx, c.state, mul_states(ctx, qs, h))
+    for c in states[1:]:
+        h = add_states(ctx, c, mul_states(ctx, q, h))
         out.append(h)
     return out
 
 
-def scale_each(ctx: UnramifiedCtx, coeffs, factors) -> list:
-    """The values c_j * f_j, by the product rule on raw states."""
-    return [ctx.wrap(mul_states(ctx, c.state, f.state)) for c, f in zip(coeffs, factors)]
+def scale_each(ctx: UnramifiedCtx, states, factors) -> list:
+    """The states c_j * f_j, for states c_j and f_j."""
+    return [mul_states(ctx, c, f) for c, f in zip(states, factors)]
 
 
 @dataclass(frozen=True)
@@ -72,19 +72,31 @@ class TailBound:
 class TruncSeries:
     """Coefficients c_0..c_M in one variable, plus a certified tail bound."""
 
-    __slots__ = ("ctx", "var", "coeffs", "tail")
+    __slots__ = ("ctx", "var", "states", "tail")
 
     def __init__(self, ctx: UnramifiedCtx, var: str, coeffs, tail: TailBound):
         self.ctx = ctx
         self.var = var
-        self.coeffs = tuple(coeffs)
+        self.states = tuple([c.state for c in coeffs])
         self.tail = tail
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficient values, built on each read."""
+        return tuple([self.ctx.wrap(h) for h in self.states])
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.states) - 1
 
     # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def from_states(ctx: UnramifiedCtx, var: str, states, tail: TailBound) -> "TruncSeries":
+        """The series of the given coefficient states; ``__init__`` takes values."""
+        s = TruncSeries.__new__(TruncSeries)
+        s.ctx, s.var, s.states, s.tail = ctx, var, tuple(states), tail
+        return s
 
     @staticmethod
     def from_coeffs(ctx, var, coeffs, order=None, slope=Fraction(0)) -> "TruncSeries":
@@ -106,8 +118,8 @@ class TruncSeries:
 
     def with_tail(self, slope, offset) -> "TruncSeries":
         """Install an externally justified tail bound (same coefficients)."""
-        return TruncSeries(
-            self.ctx, self.var, self.coeffs, TailBound(Fraction(slope), Fraction(offset))
+        return TruncSeries.from_states(
+            self.ctx, self.var, self.states, TailBound(Fraction(slope), Fraction(offset))
         )
 
     # -- arithmetic ------------------------------------------------------------
@@ -125,15 +137,15 @@ class TruncSeries:
         v = q.valuation()
         if v < 0:
             raise ValueError(f"1/(1 - q*{self.var}) diverges on the unit disc: v_p(q) = {v}")
-        coeffs = [self.ctx.wrap(h) for h in fold(q, self.coeffs)]
         tail = TailBound(min(self.tail.slope, Fraction(v)), self.tail.offset)
-        return TruncSeries(self.ctx, self.var, coeffs, tail)
+        states = fold(self.ctx, q.state, self.states)
+        return TruncSeries.from_states(self.ctx, self.var, states, tail)
 
     def scalar_mul(self, c: WittApprox) -> "TruncSeries":
         self._check(c)
         tail = self.tail.shift_offset(c.min_valuation)
-        coeffs = scale_each(self.ctx, self.coeffs, [c] * len(self.coeffs))
-        return TruncSeries(self.ctx, self.var, coeffs, tail)
+        states = scale_each(self.ctx, self.states, [c.state] * len(self.states))
+        return TruncSeries.from_states(self.ctx, self.var, states, tail)
 
     def integrate(self, slope, offset) -> "TruncSeries":
         """Antiderivative with constant term 0, truncated to the same order,
@@ -142,13 +154,13 @@ class TruncSeries:
         No bound is derived from the integrand's: each caller installs the one
         it proves for the exact function it expands, and its docstring gives
         the proof.  Coefficient j is multiplied by 1/(j+1) from the context's
-        cache of integer inverses (``UnramifiedCtx.inv_int``), so each inverse
-        is Newton-lifted once per context, not once per integration.
+        cache (``UnramifiedCtx.inv_states``), so each inverse is Newton-lifted
+        once per context, not once per integration.
         """
         ctx = self.ctx
-        inverses = [ctx.inv_int(j) for j in range(1, len(self.coeffs))]
-        coeffs = [ctx.exact_zero(), *scale_each(ctx, self.coeffs[:-1], inverses)]
-        return TruncSeries(ctx, self.var, coeffs, self.tail).with_tail(slope, offset)
+        states = scale_each(ctx, self.states[:-1], ctx.inv_states(self.order))
+        tail = TailBound(Fraction(slope), Fraction(offset))
+        return TruncSeries.from_states(ctx, self.var, (None, *states), tail)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -173,14 +185,14 @@ class TruncSeries:
         if not w.exact and w.min_valuation < 0:
             raise ValueError("evaluation requires |w| <= 1 (nonnegative valuation)")
         if w.exact:
-            return self.coeffs[0]
+            return self.ctx.wrap(self.states[0])
         tail_v = self.tail_valuation_at(w.min_valuation)
         if tail_v is not None and tail_v < target:
             raise PrecisionError(
                 f"tail certifies only O(p^{tail_v}) < requested O(p^{target}); "
                 f"increase the truncation order (currently {self.order})"
             )
-        acc = self.ctx.wrap(fold(w, self.coeffs[::-1])[-1])
+        acc = self.ctx.wrap(fold(self.ctx, w.state, self.states[::-1])[-1])
         if tail_v is not None:
             acc = acc.cap_abs(tail_v)
         return acc

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from polylogp.coleman import PolylogEvaluator, check_corollary, check_prop_reduction
 from polylogp.finite_poly import FiniteField, frobenius
-from polylogp.padic_core import UnramifiedCtx, residue, teichmuller, teichmuller_powers
+from polylogp.padic_core import (UnramifiedCtx, WittApprox, residue, teichmuller,
+                                 teichmuller_powers)
 
 PRIMES = (3, 5, 7, 11, 13)
 WEIGHTS = (0, 1, 2, 3, 4)
@@ -214,6 +215,23 @@ def test_corollary_makes_one_orbit_sum_per_orbit_and_weight(monkeypatch, p, k, o
     calls = _count_riemann_reads(monkeypatch)
     assert check_corollary(p, k, ns=ns)["pass"]
     assert len(calls) == k * orbits * len(ns)
+
+
+def test_corollary_reads_each_orbit_from_its_measure_base(monkeypatch):
+    # a deterministic count: per orbit, k - 1 Frobenius steps build the
+    # measure base's orbit, and per weight k - 1 carry the measure sum and k - 1
+    # the orbit sum to the conjugates; li_n_teich rebuilds no orbit
+    p, k, orbits, ns = 5, 3, 43, (1, 2, 3)
+    calls = []
+    frobenius = WittApprox.frobenius
+
+    def counted(self):
+        calls.append(self)
+        return frobenius(self)
+
+    monkeypatch.setattr(WittApprox, "frobenius", counted)
+    assert check_corollary(p, k, ns=ns)["pass"]
+    assert len(calls) == (k - 1) * orbits * (1 + 2 * len(ns))
 
 
 @pytest.mark.parametrize("p, k, n, orbits", [(5, 3, 2, 43), (7, 2, 3, 26), (13, 1, 1, 11)])

@@ -14,7 +14,10 @@ from polylogp.padic_core import (
     PrecisionError,
     UnramifiedCtx,
     WittApprox,
+    add_states,
     int_val,
+    mul_states,
+    normalize,
     padic_log,
     residue,
     teichmuller,
@@ -258,6 +261,95 @@ def test_ring_laws_on_embedded_integers(x, y):
     assert ((a + b) - b - a).valuation_ge(4)
     total = ctx.from_int(x + y)
     assert (a + b).eq_to_prec(total)
+
+
+# -- the interval rules against their vector-path form -----------------------------
+#
+# ``normalize``, ``mul_states`` and ``add_states`` read p^r from the context's
+# table ``pows`` and take a single integer at k = 1.  These oracles are the
+# same rules on the vector path at every k, with p** on every call and the
+# schoolbook product; every state they return must be the same.
+
+
+def oracle_normalize(ctx, scale, vec, rel):
+    if rel > ctx.A:
+        rel = ctx.A
+    if rel <= 0:
+        return scale + rel, ctx.zero_vec, 0
+    p = ctx.p
+    vec = tuple([c % p**rel for c in vec])
+    j = min([int_val(c, p) for c in vec if c], default=rel)
+    if j >= rel:
+        return scale + rel, ctx.zero_vec, 0
+    return scale + j, tuple([c // p**j for c in vec]), rel - j
+
+
+def oracle_mul_states(ctx, a, b):
+    if a is None or b is None:
+        return None
+    (sa, va, ra), (sb, vb, rb) = a, b
+    if not ra or not rb:
+        return sa + sb, ctx.zero_vec, 0
+    r = min(ra, rb)
+    return sa + sb, _naive_poly_mulmod(va, vb, ctx.hbar, ctx.p**r), r
+
+
+def oracle_add_states(ctx, a, b):
+    if a is None or b is None:
+        return b if a is None else a
+    (sa, va, ra), (sb, vb, rb) = a, b
+    n = min(sa + ra, sb + rb)
+    if sa <= sb:
+        f = ctx.p ** (sb - sa)
+        return oracle_normalize(ctx, sa, [x + f * y for x, y in zip(va, vb)], n - sa)
+    f = ctx.p ** (sa - sb)
+    return oracle_normalize(ctx, sb, [f * x + y for x, y in zip(va, vb)], n - sb)
+
+
+@st.composite
+def rule_cases(draw):
+    """A context, two states and a ``normalize`` input.  States are exact
+    zeros, approximate zeros (prec 0) or unreduced vectors with entries of
+    either sign and high powers of p, at scales up to 2A + 2 apart, so sums
+    run past the table of p^0..p^A."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    k = draw(st.integers(1, 3))
+    A = draw(st.integers(1, 8))
+    ctx = UnramifiedCtx(p, k, A)
+    entry = st.builds(lambda c, e: c * p**e, st.integers(-p**A, p**A), st.integers(0, A + 1))
+    vec = st.one_of(st.just(ctx.zero_vec), st.tuples(*[entry] * k))
+    scales = st.integers(-A - 1, A + 1)
+
+    def state():
+        kind = draw(st.sampled_from(("exact", "approx", "vector", "vector")))
+        if kind == "exact":
+            return None
+        if kind == "approx":
+            return draw(scales), ctx.zero_vec, 0
+        return draw(scales), draw(vec), draw(st.integers(1, A))
+
+    return ctx, state(), state(), (draw(scales), draw(vec), draw(st.integers(-2, A + 3)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rule_cases())
+def test_interval_rules_return_the_states_of_the_vector_path(case):
+    ctx, a, b, (scale, vec, rel) = case
+    assert normalize(ctx, scale, vec, rel) == oracle_normalize(ctx, scale, vec, rel)
+    assert normalize(ctx, scale, list(vec), rel) == oracle_normalize(ctx, scale, vec, rel)
+    assert mul_states(ctx, a, b) == oracle_mul_states(ctx, a, b)
+    assert add_states(ctx, a, b) == oracle_add_states(ctx, a, b)
+    assert add_states(ctx, b, a) == oracle_add_states(ctx, b, a)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_a_sum_whose_scales_differ_by_more_than_a(k):
+    # the scale gap d = 2A + 1 is past the table of p^0..p^A, so the sum takes p^d
+    ctx = UnramifiedCtx(5, k, 3)
+    unit = (1,) + (2,) * (k - 1)
+    low, high = (0, unit, 3), (7, unit, 3)
+    assert add_states(ctx, low, high) == oracle_add_states(ctx, low, high) == low
+    assert add_states(ctx, high, low) == low
 
 
 # -- exact zero vs approximate zero ------------------------------------------------
