@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .finite_poly import (FpkElement, frobenius, li_finite, li_finite_walk, poly_frobenius,
@@ -28,6 +29,8 @@ from .identities import a_coeffs
 from .padic_core import (
     UnramifiedCtx,
     WittApprox,
+    add_states,
+    mul_states,
     padic_log,
     residue,
     teichmuller,
@@ -363,7 +366,7 @@ class PolylogEvaluator:
         store = self._g.setdefault(alpha.coeffs, {})
         if n in store:
             return store[n]
-        slope = 1 - Fraction(1, ctx.p - 1)
+        slope = Fraction(ctx.p - 2, ctx.p - 1)  # 1 - 1/(p-1)
         if 0 not in store:
             lead = self.li_tilde(alpha, 0)  # alpha/(1-alpha)
             lin = TruncSeries.from_coeffs(
@@ -405,45 +408,54 @@ class PolylogEvaluator:
             self._log_at[key] = padic_log(self.ctx.one() + x.w.shift(1))
         return self._log_at[key]
 
-    def _log_combination(self, x: XPoint, n: int, weights: list) -> WittApprox:
-        """sum_k weights[k] log^k(z) Li_{n-k}(z), for rational weights."""
-        return log_sum(self.ctx, self.log_at(x), weights, lambda k: self.li_n_at(x, n - k))
-
     def big_l_at(self, x: XPoint, n: int) -> WittApprox:
         """sum_{m=0}^{n-1} (-1)^m/m! Li_{n-m}(z) log^m(z); needs p > n."""
         if self.ctx.p <= n:
             raise ValueError(f"needs p > n, got p={self.ctx.p}, n={n}")
-        weights = [Fraction((-1) ** m, math.factorial(m)) for m in range(n)]
-        return self._log_combination(x, n, weights)
+        return log_sum(self.ctx, self.log_at(x), _l_weights(n), lambda k: self.li_n_at(x, n - k))
 
     def f_n_at(self, x: XPoint, n: int) -> WittApprox:
         """The weight-n combination sum_k a_k log^k(z) Li_{n-k}(z); p > n+1."""
         if self.ctx.p <= n + 1:
             raise ValueError(f"needs p > n+1, got p={self.ctx.p}, n={n}")
-        return self._log_combination(x, n, a_coeffs(n))
+        return log_sum(self.ctx, self.log_at(x), a_coeffs(n), lambda k: self.li_n_at(x, n - k))
 
     def df_n_at(self, x: XPoint, n: int) -> WittApprox:
         """D F_n in closed form: (1-z) sum_k log^k Li_{n-k-1} (a_k + (k+1)a_{k+1})."""
         if self.ctx.p <= n + 1:
             raise ValueError(f"needs p > n+1, got p={self.ctx.p}, n={n}")
-        a = a_coeffs(n) + [Fraction(0)]  # a_n = 0
-        weights = [a[k] + (k + 1) * a[k + 1] for k in range(n)]
-        return (self.ctx.one() - x.z) * self._log_combination(x, n - 1, weights)
+        li = lambda k: self.li_n_at(x, n - 1 - k)  # noqa: E731
+        return (self.ctx.one() - x.z) * log_sum(self.ctx, self.log_at(x), _df_weights(n), li)
 
 
-def log_sum(ctx: UnramifiedCtx, logz: WittApprox, weights: list, value) -> WittApprox:
+@lru_cache(maxsize=None)
+def _l_weights(n: int) -> tuple:
+    return tuple([Fraction((-1) ** m, math.factorial(m)) for m in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _df_weights(n: int) -> tuple:
+    a = a_coeffs(n) + [0]  # a_n = 0
+    return tuple([a[k] + (k + 1) * a[k + 1] for k in range(n)])
+
+
+def log_sum(ctx: UnramifiedCtx, logz: WittApprox, weights, value) -> WittApprox:
     """sum_j weights[j] log^j(z) value(j), for rational weights: the one
     log-weighted sum of L_n, F_n, D F_n and the Section-3 difference formula.
-    ``value(j)`` is evaluated only where weights[j] != 0."""
-    acc = ctx.exact_zero()
-    logpow, power = ctx.one(), 0
+    ``value(j)`` is evaluated only where weights[j] != 0.  Runs on raw states,
+    with the interval rules in the operators' order for logpow * logz and
+    acc + from_rational(c) * logpow * value(j); builds only the result."""
+    acc, logpow, power, log = None, ctx.one().state, 0, logz.state
     for j, c in enumerate(weights):
         if c:
             for _ in range(power, j):
-                logpow = logpow * logz
+                logpow = mul_states(ctx, logpow, log)
             power = j
-            acc = acc + ctx.from_rational(c) * logpow * value(j)
-    return acc
+            term = mul_states(ctx, ctx.from_rational(c).state, logpow)
+            x = value(j)
+            logz._check(x)  # as the operators did: no operand from another context
+            acc = add_states(ctx, acc, mul_states(ctx, term, x.state))
+    return ctx.wrap(acc)
 
 
 # -- verification drivers ------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd
 
 
@@ -88,7 +89,13 @@ def a_coeffs(n: int) -> list:
     """Closed-form weights for the log-power polylog combination of weight n.
 
     a_0 = -n and a_k = (-1)^k/(k-1)! + (-1)^{k+1} n/k! for 0 < k < n.
+    Computed once per weight; each call returns a fresh list.
     """
+    return list(_a_coeffs(n))
+
+
+@lru_cache(maxsize=None)
+def _a_coeffs(n: int) -> tuple:
     if n < 2:
         raise ValueError("weight must be >= 2")
     out = [Fraction(-n)]
@@ -96,7 +103,7 @@ def a_coeffs(n: int) -> list:
         out.append(
             Fraction((-1) ** k, factorial(k - 1)) + Fraction((-1) ** (k + 1) * n, factorial(k))
         )
-    return out
+    return tuple(out)
 
 
 def conds_matrix(n: int) -> list:

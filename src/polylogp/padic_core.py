@@ -14,20 +14,20 @@ digits beyond what it can certify.
 
 The interval rules are written once, on raw states: a state is the triple
 (scale, vec, prec), with vec the zero vector when prec == 0, or None for the
-exact zero.  ``normalize`` is the canonical form (``make``), ``mul_states``
-and ``add_states`` the product and the sum.  ``WittApprox`` operators wrap
-them; series hold states and fold them through these rules.  The rules read
-p^r from the table ``ctx.pows`` (r <= A; a sum of scales d > A apart takes
-p^d).  At k = 1, ``normalize`` divides the one entry 0 < c < p^rel by p while
-p | c, which gives the vector path's j = int_val(c) < rel and c // p^j.
+exact zero.  ``normalize`` is the canonical form (``make``); ``mul_states``,
+``add_states`` and ``neg_state`` are a * b, a + b and -a.  ``WittApprox``
+operators wrap them; series and ``padic_log`` run their loops on them.  The
+rules read p^r from ``ctx.pows`` (r <= A).  At k = 1, ``normalize`` divides
+the one entry 0 < c < p^rel by p while p | c, which gives the vector path's
+j = int_val(c) < rel and c // p^j.
 
 ``WittApprox`` values are immutable by convention: no method mutates one,
 every operation returns a new value.  The class is a slotted dataclass, not
 a frozen one, because a run builds hundreds of thousands of them and a
 frozen ``__init__`` sets each field through ``object.__setattr__``.  A context
-memoizes 1/c per nonzero integer c (``inv_int``), so the divisions of series
-integration, of the logarithm and of rational weights cost one Newton lift
-per integer and context.
+memoizes 1/c per nonzero integer c (``inv_int``), each rational
+(``from_rational``) and 1 (``one``), so the divisions of series integration,
+of the logarithm and of rational weights cost one Newton lift per integer.
 
 A unit vector mod p^r is multiplied, powered, inverted and mapped by the
 Witt Frobenius in the ring kernel of ``finite_poly`` (``poly_mul``,
@@ -91,6 +91,8 @@ class UnramifiedCtx:
         self.zero_vec = (0,) * k
         self._inv_ints: dict = {}
         self._inv_states: list = [None]
+        self._rationals: dict = {}
+        self._one = self.from_int(1)
 
     def __eq__(self, other):
         return (
@@ -129,12 +131,14 @@ class UnramifiedCtx:
         return WittApprox(self, j, vec, self.A, False)
 
     def from_rational(self, q: Fraction | int) -> "WittApprox":
-        q = Fraction(q)
-        if q.denominator % self.p == 0:
-            raise ValueError(f"denominator {q.denominator} is divisible by p={self.p}")
-        if q == 0:
-            return self.exact_zero()
-        return self.from_int(q.numerator) * self.inv_int(q.denominator)
+        """q = a/b, b prime to p, as from_int(a) * (1/b) (exact at a = 0), once per context."""
+        value = self._rationals.get(q)
+        if value is None:
+            f = Fraction(q)
+            if f.denominator % self.p == 0:
+                raise ValueError(f"denominator {f.denominator} is divisible by p={self.p}")
+            value = self._rationals[q] = self.from_int(f.numerator) * self.inv_int(f.denominator)
+        return value
 
     def inv_int(self, c: int) -> "WittApprox":
         """1/c for a nonzero integer c, computed once per context."""
@@ -160,7 +164,7 @@ class UnramifiedCtx:
         return WittApprox(self, abs_prec, self.zero_vec, 0, False)
 
     def one(self) -> "WittApprox":
-        return self.from_int(1)
+        return self._one
 
     def metadata(self) -> dict:
         return {"p": self.p, "k": self.k, "A": self.A, "hbar": list(self.hbar)}
@@ -230,10 +234,19 @@ def add_states(ctx: UnramifiedCtx, a, b):
     if sa > sb:
         sa, va, sb, vb = sb, vb, sa, va
     d = sb - sa
-    f = ctx.pows[d] if d <= ctx.A else ctx.p**d
+    # rel = n - sa <= A, so for d > A the term vanishes mod p^rel either way
+    f = ctx.pows[d] if d <= ctx.A else ctx.pA
     if ctx.k == 1:
         return normalize(ctx, sa, (va[0] + f * vb[0],), n - sa)
     return normalize(ctx, sa, [x + f * y for x, y in zip(va, vb)], n - sa)
+
+
+def neg_state(ctx: UnramifiedCtx, a):
+    """-a: each entry negated mod p^prec; a zero is its own negation."""
+    if a is None or not a[2]:
+        return a
+    pm = ctx.pows[a[2]]
+    return a[0], tuple([-c % pm for c in a[1]]), a[2]
 
 
 @dataclass(slots=True, unsafe_hash=True, repr=False)
@@ -296,11 +309,7 @@ class WittApprox:
         return self.ctx.wrap(add_states(self.ctx, self.state, other.state))
 
     def __neg__(self) -> "WittApprox":
-        if self.exact or self.prec == 0:
-            return self
-        pm = self.ctx.p**self.prec
-        vec = tuple((-c) % pm for c in self.coeffs)
-        return WittApprox(self.ctx, self.scale, vec, self.prec, False)
+        return self.ctx.wrap(neg_state(self.ctx, self.state))
 
     def __sub__(self, other: "WittApprox") -> "WittApprox":
         return self + (-other)
@@ -462,25 +471,28 @@ def _log_cutoff(p: int, A: int) -> int:
 
 
 def padic_log(u: WittApprox) -> WittApprox:
-    """log on 1 + pW: sum of (-1)^{m+1} (u-1)^m / m, certified truncation."""
-    ctx = u.ctx
-    t = u - ctx.one()
-    if not t.valuation_ge(1):
-        raise ValueError("padic_log requires u = 1 mod p")
-    if t.exact:
+    """log on 1 + pW: sum of (-1)^{m+1} (u-1)^m / m, certified truncation.
+
+    Runs on raw states, with the interval rules in the operators' order for
+    t = u - 1, power * t, power * (1/m) and acc +- term; builds only the result.
+    """
+    ctx, one = u.ctx, u.ctx.one().state
+    t = add_states(ctx, u.state, neg_state(ctx, one))
+    if t is None:
         return ctx.exact_zero()
-    cutoff = _log_cutoff(ctx.p, ctx.A)
-    acc = ctx.exact_zero()
-    power = ctx.one()
-    for m in range(1, cutoff + 1):
-        power = power * t
-        term = power * ctx.inv_int(m)
-        acc = acc + (term if m % 2 else -term)
-    return acc
+    if t[0] < 1:
+        ctx.wrap(t).valuation_ge(1)  # raises PrecisionError for O(p^s), s < 1
+        raise ValueError("padic_log requires u = 1 mod p")
+    acc, power = None, one
+    for m, inv in enumerate(ctx.inv_states(_log_cutoff(ctx.p, ctx.A)), 1):
+        power = mul_states(ctx, power, t)
+        term = mul_states(ctx, power, inv)
+        acc = add_states(ctx, acc, term if m % 2 else neg_state(ctx, term))
+    return ctx.wrap(acc)
 
 
 def residue(z: WittApprox) -> FpkElement:
-    """Reduction mod p into F_{p^k}; requires an integral value."""
+    """Reduction mod p into F_{p^k} of an integral value; its k entries need no re-check."""
     field = z.ctx.residue_field
     if z.exact or z.scale >= 1:
         return field.zero()
@@ -488,4 +500,4 @@ def residue(z: WittApprox) -> FpkElement:
         raise PrecisionError("residue of a value only known as O(p^0) or worse")
     if z.scale < 0:
         raise ValueError("residue of a non-integral value (negative scale)")
-    return field.element([c % z.ctx.p for c in z.coeffs])
+    return FpkElement(field, tuple([c % z.ctx.p for c in z.coeffs]))

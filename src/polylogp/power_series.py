@@ -48,17 +48,16 @@ def scale_each(ctx: UnramifiedCtx, states, factors) -> list:
 
 @dataclass(frozen=True)
 class TailBound:
-    """v_p(true c_j) >= floor(slope*j + offset) for all j >= 0.
-
-    ``offset None`` means the bound is +infinity (the zero series).
+    """v_p(true c_j) >= floor(slope*j + offset) for all j >= 0, for a Fraction
+    or int slope and offset; ``offset None`` means +infinity (the zero series).
     """
 
-    slope: Fraction
-    offset: Fraction | None
+    slope: Fraction | int
+    offset: Fraction | int | None
 
     @staticmethod
     def zero_series() -> "TailBound":
-        return TailBound(Fraction(0), None)
+        return TailBound(0, None)
 
     def is_infinite(self) -> bool:
         return self.offset is None
@@ -99,28 +98,27 @@ class TruncSeries:
         return s
 
     @staticmethod
-    def from_coeffs(ctx, var, coeffs, order=None, slope=Fraction(0)) -> "TruncSeries":
+    def from_coeffs(ctx, var, coeffs, order=None, slope=0) -> "TruncSeries":
         """Series with explicitly known coefficients (an exact polynomial).
 
-        The tail bound with the requested slope is fitted through the stored
-        coefficients' certified valuations; true coefficients beyond the
-        stored degree are zero, so any affine bound is valid there.
+        The tail bound with the requested slope a/b is fitted through the
+        stored coefficients' certified valuations, min (b scale_j - a j)/b;
+        true coefficients beyond the stored degree are zero, so any affine
+        bound is valid there.
         """
         coeffs = list(coeffs)
         if order is not None:
             if len(coeffs) > order + 1:
                 raise ValueError("more coefficients than the requested order")
             coeffs += [ctx.exact_zero()] * (order + 1 - len(coeffs))
-        slope = Fraction(slope)
-        cands = [Fraction(c.scale) - slope * j for j, c in enumerate(coeffs) if not c.exact]
-        offset = min(cands) if cands else None
+        a, b = slope.numerator, slope.denominator
+        nums = [b * c.scale - a * j for j, c in enumerate(coeffs) if not c.exact]
+        offset = None if not nums else min(nums) if b == 1 else Fraction(min(nums), b)
         return TruncSeries(ctx, var, coeffs, TailBound(slope, offset))
 
     def with_tail(self, slope, offset) -> "TruncSeries":
         """Install an externally justified tail bound (same coefficients)."""
-        return TruncSeries.from_states(
-            self.ctx, self.var, self.states, TailBound(Fraction(slope), Fraction(offset))
-        )
+        return TruncSeries.from_states(self.ctx, self.var, self.states, TailBound(slope, offset))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -137,7 +135,7 @@ class TruncSeries:
         v = q.valuation()
         if v < 0:
             raise ValueError(f"1/(1 - q*{self.var}) diverges on the unit disc: v_p(q) = {v}")
-        tail = TailBound(min(self.tail.slope, Fraction(v)), self.tail.offset)
+        tail = TailBound(min(self.tail.slope, v), self.tail.offset)
         states = fold(self.ctx, q.state, self.states)
         return TruncSeries.from_states(self.ctx, self.var, states, tail)
 
@@ -159,20 +157,21 @@ class TruncSeries:
         """
         ctx = self.ctx
         states = scale_each(ctx, self.states[:-1], ctx.inv_states(self.order))
-        tail = TailBound(Fraction(slope), Fraction(offset))
-        return TruncSeries.from_states(ctx, self.var, (None, *states), tail)
+        return TruncSeries.from_states(ctx, self.var, (None, *states), TailBound(slope, offset))
 
     # -- evaluation -------------------------------------------------------------
 
     def tail_valuation_at(self, w_val: int) -> int | None:
-        """Certified v_p of sum_{j>M} c_j w^j when v_p(w) >= w_val (None = inf)."""
+        """Certified v_p of sum_{j>M} c_j w^j when v_p(w) >= w_val (None = inf): for
+        slope a/b and offset c/d, floor(((a + w_val b)(M+1) d + c b) / (b d))."""
         if self.tail.is_infinite():
             return None
-        sigma = self.tail.slope + w_val
-        if sigma > 0:
-            return math.floor(sigma * (self.order + 1) + self.tail.offset)
-        if sigma == 0:
-            return math.floor(self.tail.offset)
+        (a, b), (c, d) = self.tail.slope.as_integer_ratio(), self.tail.offset.as_integer_ratio()
+        sigma_b = a + w_val * b
+        if sigma_b > 0:
+            return (sigma_b * (self.order + 1) * d + c * b) // (b * d)
+        if sigma_b == 0:
+            return c // d
         raise PrecisionError("tail bound diverges on the unit disc (negative combined slope)")
 
     def eval_at(self, w: WittApprox, target: int) -> WittApprox:

@@ -31,7 +31,7 @@ def _dlog_chain(s: TruncSeries, z: WittApprox, steps: int) -> list:
     """s and its next ``steps`` iterated dlog integrals: each is the
     antiderivative of the last times du/(z+u), from 1/(z+u) = z^{-1}/(1 + u/z)."""
     zinv = z.inv()
-    slope = -Fraction(1, s.ctx.p - 1)
+    slope = Fraction(-1, s.ctx.p - 1)
     out = [s]
     for _ in range(steps):
         out.append(out[-1].over_linear(-zinv).scalar_mul(zinv).integrate(slope, 0))

@@ -26,10 +26,11 @@ from polylogp.coleman import (
     verify_theorem,
 )
 from polylogp.finite_poly import li_finite
-from polylogp.padic_core import UnramifiedCtx, residue, teichmuller
+from polylogp.padic_core import PrecisionError, UnramifiedCtx, padic_log, residue, teichmuller
 from polylogp.report import sample_zbar, to_json
 from polylogp.rng import SplitMix64
 
+from test_padic_core import count_values, oracle_padic_log
 from test_power_series import _fields, interval_values, series_derivative, series_mul
 
 
@@ -478,6 +479,80 @@ def test_log_sum_takes_the_steps_of_the_three_loops(case):
         assert got == _fields(loop(ctx, logz, weights, values)), loop.__name__
 
 
+def oracle_log_sum(ctx, logz, weights, value):
+    # ``log_sum``'s operator loop before it ran on states, each weight built
+    # afresh as ``from_rational`` built it before the context memoized it
+    acc = ctx.exact_zero()
+    logpow, power = ctx.one(), 0
+    for j, c in enumerate(weights):
+        if c:
+            for _ in range(power, j):
+                logpow = logpow * logz
+            power = j
+            c = Fraction(c)
+            weight = ctx.from_int(c.numerator) * ctx.inv_int(c.denominator)
+            acc = acc + weight * logpow * value(j)
+    return acc
+
+
+@st.composite
+def log_cases(draw):
+    """u = 1 + p^e w, with w an exact zero, an approximate zero, a multiple of
+    p or a unit, so that u - 1 may also be a unit (e = 0) or O(p^0); weights
+    with zeros and both signs; values that may be exact or approximate zeros."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    ctx = UnramifiedCtx(p, draw(st.integers(1, 3)), draw(st.integers(1, 8)))
+    vec = tuple(draw(st.integers(0, ctx.pA - 1)) for _ in range(ctx.k))
+    w = draw(st.sampled_from((
+        ctx.exact_zero(), ctx.zero_approx(draw(st.integers(0, 3))),
+        ctx.make(1, vec, draw(st.integers(1, ctx.A))),  # w = 0 mod p
+        ctx.make(0, vec, draw(st.integers(1, ctx.A))))))
+    u = ctx.one() + w.shift(draw(st.sampled_from((0, 1, 1, 1))))
+    denominators = st.integers(1, 12).filter(lambda d: d % p)
+    weight = st.one_of(st.just(0), st.integers(-30, 30),
+                       st.builds(Fraction, st.integers(-30, 30), denominators))
+    weights = draw(st.lists(weight, max_size=6))
+    return ctx, u, weights, [draw(interval_values(ctx)) for _ in weights]
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_cases())
+def test_log_and_log_sum_take_the_steps_of_their_operator_loops(case):
+    ctx, u, weights, values = case
+    try:
+        logz = oracle_padic_log(u)
+    except (ValueError, PrecisionError) as err:
+        with pytest.raises(type(err)):
+            padic_log(u)
+        logz = u
+    else:
+        assert padic_log(u).to_record() == logz.to_record()
+    called = []
+
+    def value(j):
+        called.append(j)
+        return values[j]
+
+    got = log_sum(ctx, logz, weights, value)
+    assert called == [j for j, c in enumerate(weights) if c]
+    assert got.to_record() == oracle_log_sum(ctx, logz, weights, values.__getitem__).to_record()
+
+
+def test_log_sum_builds_only_its_result(monkeypatch):
+    # a deterministic count: the operator loop built a value per log power and
+    # 5 per term, 2 of them for the weight
+    ctx = UnramifiedCtx(7, 2, 6)
+    logz = ctx.from_vec((3, 4)).shift(1)
+    weights = [Fraction(1, 2), 0, -3, Fraction(5, 6), 0, Fraction(-1, 24)]
+    values = [ctx.from_vec((j + 1, 2), j % 2) for j in range(len(weights))]
+    log_sum(ctx, logz, weights, values.__getitem__)  # fills the memo of rationals
+    counts = count_values(monkeypatch)
+    got = log_sum(ctx, logz, weights, values.__getitem__)
+    assert counts == {"init": 1, "wrap": 1}
+    monkeypatch.undo()
+    assert got.to_record() == oracle_log_sum(ctx, logz, weights, values.__getitem__).to_record()
+
+
 def test_log_sum_examples():
     ctx = UnramifiedCtx(5, 2, 4)
     logz = ctx.from_int(5)
@@ -490,6 +565,9 @@ def test_log_sum_examples():
     # 3 * log^2(z) * 2 = 6 * 25
     got = log_sum(ctx, logz, [0, 0, 3], lambda j: ctx.from_int(2))
     assert got.eq_to_prec(ctx.from_int(150))
+    # a value from another context is refused, as the operators refused it
+    with pytest.raises(ValueError, match="different contexts"):
+        log_sum(ctx, logz, [1], lambda j: UnramifiedCtx(5, 2, 5).one())
 
 
 # -- cross-check suite (standard fact, not part of the main congruence gate) ---------

@@ -26,6 +26,15 @@ def test_closed_form_frozen_values():
     assert a_coeffs(3) == [Fraction(-3), Fraction(2), Fraction(-1, 2)]
 
 
+def test_a_coeffs_returns_a_fresh_list():
+    # the weights are computed once per weight; a caller's edit must not reach them
+    first = a_coeffs(3)
+    first[0] = Fraction(99)
+    first.append(Fraction(1))
+    assert a_coeffs(3) == [Fraction(-3), Fraction(2), Fraction(-1, 2)]
+    assert a_coeffs(3) is not a_coeffs(3)
+
+
 def test_solve_conds_hand_solvable_case():
     # n=2: normalization a0 + a1 = -1 and the single condition (a0+a1) + a1 = 0
     assert solve_conds(2) == [Fraction(-2), Fraction(1)]

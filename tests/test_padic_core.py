@@ -17,6 +17,7 @@ from polylogp.padic_core import (
     add_states,
     int_val,
     mul_states,
+    neg_state,
     normalize,
     padic_log,
     residue,
@@ -306,6 +307,13 @@ def oracle_add_states(ctx, a, b):
     return oracle_normalize(ctx, sb, [f * x + y for x, y in zip(va, vb)], n - sb)
 
 
+def oracle_neg_state(ctx, a):
+    # ``WittApprox.__neg__`` as it was written before it wrapped ``neg_state``
+    if a is None or a[2] == 0:
+        return a
+    return a[0], tuple((-c) % ctx.p ** a[2] for c in a[1]), a[2]
+
+
 @st.composite
 def rule_cases(draw):
     """A context, two states and a ``normalize`` input.  States are exact
@@ -340,11 +348,13 @@ def test_interval_rules_return_the_states_of_the_vector_path(case):
     assert mul_states(ctx, a, b) == oracle_mul_states(ctx, a, b)
     assert add_states(ctx, a, b) == oracle_add_states(ctx, a, b)
     assert add_states(ctx, b, a) == oracle_add_states(ctx, b, a)
+    assert neg_state(ctx, a) == oracle_neg_state(ctx, a)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_a_sum_whose_scales_differ_by_more_than_a(k):
-    # the scale gap d = 2A + 1 is past the table of p^0..p^A, so the sum takes p^d
+    # the scale gap d = 2A + 1 is past the table of p^0..p^A; the sum takes
+    # p^A there, as p^d the term vanishes mod p^rel, rel <= A
     ctx = UnramifiedCtx(5, k, 3)
     unit = (1,) + (2,) * (k - 1)
     low, high = (0, unit, 3), (7, unit, 3)
@@ -587,6 +597,78 @@ def test_log_kills_teichmuller_part():
         lhs = padic_log(z ** (q - 1))
         rhs = padic_log(ctx.one() + w.shift(1)) * (q - 1)
         assert (lhs - rhs).valuation_ge(min(lhs.abs_prec, rhs.abs_prec))
+
+
+# ``padic_log`` runs its loop on raw states; the operator loop it replaced is
+# the oracle, with the negation as ``WittApprox.__neg__`` wrote it then.
+
+
+def operator_neg(x):
+    if x.exact or x.prec == 0:
+        return x
+    pm = x.ctx.p**x.prec
+    return WittApprox(x.ctx, x.scale, tuple((-c) % pm for c in x.coeffs), x.prec, False)
+
+
+def oracle_padic_log(u):
+    ctx = u.ctx
+    t = u + operator_neg(ctx.one())
+    if not t.valuation_ge(1):
+        raise ValueError("padic_log requires u = 1 mod p")
+    if t.exact:
+        return ctx.exact_zero()
+    acc = ctx.exact_zero()
+    power = ctx.one()
+    for m in range(1, padic_core._log_cutoff(ctx.p, ctx.A) + 1):
+        power = power * t
+        term = power * ctx.inv_int(m)
+        acc = acc + (term if m % 2 else operator_neg(term))
+    return acc
+
+
+def count_values(monkeypatch) -> dict:
+    """Count ``WittApprox.__init__`` and ``UnramifiedCtx.wrap`` calls."""
+    counts = {"init": 0, "wrap": 0}
+    init, wrap = WittApprox.__init__, UnramifiedCtx.wrap
+
+    def counted_init(self, *args):
+        counts["init"] += 1
+        init(self, *args)
+
+    def counted_wrap(self, state):
+        counts["wrap"] += 1
+        return wrap(self, state)
+
+    monkeypatch.setattr(WittApprox, "__init__", counted_init)
+    monkeypatch.setattr(UnramifiedCtx, "wrap", counted_wrap)
+    return counts
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_the_log_builds_only_its_result(monkeypatch, k):
+    # a deterministic count: the operator loop built 3 values per odd term and
+    # 4 per even one
+    ctx = UnramifiedCtx(7, k, 6)
+    u = ctx.one() + ctx.from_vec((3,) + (4,) * (k - 1)).shift(1)
+    want = oracle_padic_log(u)  # fills the context's cache of 1/m
+    counts = count_values(monkeypatch)
+    got = padic_log(u)
+    assert counts == {"init": 1, "wrap": 1}
+    assert got.to_record() == want.to_record()
+
+
+def test_one_and_each_rational_are_built_once_per_context():
+    ctx = UnramifiedCtx(5, 2, 4)
+    assert ctx.one() is ctx.one()
+    assert ctx.one().state == (0, (1, 0), 4)
+    for q in (Fraction(-7, 3), Fraction(1, 2), 3, 0, Fraction(0)):
+        value = ctx.from_rational(q)
+        assert ctx.from_rational(q) is value
+        f = Fraction(q)
+        assert value.to_record() == (ctx.from_int(f.numerator) * ctx.inv_int(f.denominator)).to_record()
+    assert ctx.from_rational(0).exact
+    with pytest.raises(ValueError):
+        ctx.from_rational(Fraction(1, 5))
 
 
 # -- residue map ------------------------------------------------------------------

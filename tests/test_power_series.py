@@ -406,6 +406,72 @@ def test_series_operations_build_values_only_for_an_evaluation(monkeypatch, k):
         built.clear()
 
 
+def test_over_linear_integrate_and_eval_at_build_no_fraction(monkeypatch):
+    # the tail bounds are kept as passed and read in integers
+    ctx = UnramifiedCtx(5, 2, 6)
+    s = _random_series(ctx, SplitMix64(7), 12).with_tail(Fraction(1, 2), Fraction(-3, 4))
+    slope, offset = Fraction(1, 4), Fraction(-7, 3)
+    s.integrate(slope, offset)  # fills the context's cache of 1/j
+    q, points = ctx.from_int(-5), (ctx.from_int(5), ctx.one(), ctx.exact_zero())
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for t in (s.over_linear(q).integrate(slope, offset), s.integrate(-1, offset)):
+        for w in points[: 1 if t.tail.slope == -1 else 3]:  # sigma = 0 at v_p(w) = 1
+            t.eval_at(w, target=-10)
+    assert built == []
+
+
+def oracle_tail_valuation(tail, order, w_val):
+    # ``tail_valuation_at`` as it was written, in Fractions
+    if tail.is_infinite():
+        return None
+    sigma = Fraction(tail.slope) + w_val
+    if sigma > 0:
+        return math.floor(sigma * (order + 1) + Fraction(tail.offset))
+    if sigma == 0:
+        return math.floor(Fraction(tail.offset))
+    raise PrecisionError("tail bound diverges on the unit disc (negative combined slope)")
+
+
+RATIONALS = st.one_of(st.integers(-20, 20),
+                      st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), RATIONALS, RATIONALS, st.integers(0, 12), st.booleans())
+def test_tail_valuation_is_the_floor_of_the_fraction_formula(w_val, slope, offset, order,
+                                                              on_the_edge):
+    if on_the_edge:  # sigma = slope + w_val = 0
+        slope = -w_val if isinstance(slope, int) else Fraction(-w_val)
+    ctx = UnramifiedCtx(5, 1, 3)
+    s = TruncSeries.from_coeffs(ctx, "w", [ctx.one()], order=order).with_tail(slope, offset)
+    try:
+        want = oracle_tail_valuation(s.tail, order, w_val)
+    except PrecisionError:
+        with pytest.raises(PrecisionError):
+            s.tail_valuation_at(w_val)
+    else:
+        assert s.tail_valuation_at(w_val) == want
+
+
+def test_tail_valuation_examples():
+    ctx = UnramifiedCtx(5, 1, 3)
+    s = TruncSeries.from_coeffs(ctx, "w", [ctx.one()], order=4)
+    # floor(5 * 1/3 - 7/2) = floor(-11/6) = -2, and floor(-7/2) = -4 at sigma = 0
+    assert s.with_tail(Fraction(-2, 3), Fraction(-7, 2)).tail_valuation_at(1) == -2
+    assert s.with_tail(-1, Fraction(-7, 2)).tail_valuation_at(1) == -4
+    with pytest.raises(PrecisionError):
+        s.with_tail(Fraction(-1, 2), 0).tail_valuation_at(0)
+    zero = TruncSeries.from_coeffs(ctx, "w", [ctx.exact_zero()], order=4)
+    assert zero.tail.is_infinite() and zero.tail_valuation_at(0) is None
+
+
 def test_over_linear_rejects_ratios_off_the_unit_disc():
     ctx = UnramifiedCtx(5, 1, 4)
     s = TruncSeries.from_coeffs(ctx, "w", [ctx.one()], order=3)

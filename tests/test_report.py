@@ -1,11 +1,13 @@
 """The one record loop, its precision guard, and the record contract."""
 
+from fractions import Fraction
+
 import pytest
 
 from polylogp import matrix
 from polylogp.coleman import PolylogEvaluator, check_corollary, check_g_valuations
 from polylogp.matrix import CHECKS, inversion_check_report, run_matrix
-from polylogp.padic_core import PrecisionError, UnramifiedCtx
+from polylogp.padic_core import PrecisionError, UnramifiedCtx, WittApprox
 from polylogp.report import (
     CHECK_DIGITS,
     ConfigError,
@@ -117,6 +119,35 @@ def test_every_small_matrix_record_is_numbered_and_judged():
         recs = report["perSample"]
         assert [r["index"] for r in recs] == list(range(len(recs))), report["command"]
         assert all(isinstance(r["pass"], bool) for r in recs), report["command"]
+
+
+# Fraction constructions and WittApprox.__mul__ calls over run_matrix("small"),
+# counted in a fresh interpreter: 3,327 and 336 since the log and the
+# log-weighted sum run on states and each rational constant is built once;
+# 4,486 and 1,178 before.  About 10% headroom; caches that an earlier test
+# filled only lower the counts.
+SMALL_MATRIX_FRACTION_BOUND = 3_660
+SMALL_MATRIX_VALUE_MUL_BOUND = 370
+
+
+def test_small_matrix_rational_and_product_work_is_bounded(monkeypatch):
+    # a deterministic count, not a timing
+    counts = {"Fraction": 0, "mul": 0}
+    new, mul = Fraction.__new__, WittApprox.__mul__
+
+    def counted_new(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(WittApprox, "__mul__", counted_mul)
+    assert run_matrix("small")["pass"]
+    assert counts["Fraction"] <= SMALL_MATRIX_FRACTION_BOUND, counts
+    assert counts["mul"] <= SMALL_MATRIX_VALUE_MUL_BOUND, counts
 
 
 EDGES = ({"A": 1}, {"A": 3}, {"A": 30}, {"m": 1}, {"M": 1}, {"M": 2})
