@@ -3,6 +3,8 @@
 Exit codes: 0 every check passed, 1 a verification failed, 2 bad
 configuration.  Reports are emitted on stdout in json, csv, or text form;
 identical configurations (including the seed) produce byte-identical json.
+``verify all`` in text form streams one summary per report as its cell ends,
+in run order (``matrix.run_matrix``); its json keeps table order.
 
 The sampling PRNG is SplitMix64, so seeds reproduce across platforms; any
 report (or single failing sample record embedded in one) can be fed back

@@ -18,6 +18,8 @@ drivers that compare everything against finite-field arithmetic.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -428,6 +430,36 @@ class PolylogEvaluator:
         return (self.ctx.one() - x.z) * log_sum(self.ctx, self.log_at(x), _df_weights(n), li)
 
 
+SHARED_SLOTS = 2  # evaluators that ``shared_evaluators`` keeps alive at once
+_shared: ContextVar[dict | None] = ContextVar("shared_evaluators", default=None)
+
+
+@contextmanager
+def shared_evaluators():
+    """Within it, ``evaluator`` holds the SHARED_SLOTS most recently used evaluators."""
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def evaluator(p: int, k: int, A: int, m: int | None, max_weight: int, M: int | None = None,
+              trace=None) -> PolylogEvaluator:
+    """A fresh evaluator or, inside ``shared_evaluators`` and untraced, the one
+    held for (p, k, A, m, M), m and M resolved.  Sharing changes no value: each
+    memo holds what a fresh evaluation gives, field for field."""
+    ev = PolylogEvaluator(UnramifiedCtx(p, k, A), m, max_weight, M, trace)
+    shared = _shared.get()
+    if shared is None or trace is not None:
+        return ev
+    key = (p, k, A, ev.m, ev.series_order)
+    shared[key] = ev = shared.pop(key, ev)  # the most recently used is last
+    if len(shared) > SHARED_SLOTS:
+        del shared[next(iter(shared))]
+    return ev
+
+
 @lru_cache(maxsize=None)
 def _l_weights(n: int) -> tuple:
     return tuple([Fraction((-1) ** m, math.factorial(m)) for m in range(n)])
@@ -485,8 +517,8 @@ def verify_theorem(
     report_mod.check_weight("theorem", p, n, 2, gap=1)
     report_mod.check_order("theorem", M)
     A = default_precision(n) if A is None else A
-    ctx = UnramifiedCtx(p, k, A)
-    ev = PolylogEvaluator(ctx, m, max_weight=n, series_order=M, trace=trace)
+    ev = evaluator(p, k, A, m, n, M, trace)
+    ctx = ev.ctx
 
     def reduction(zbar: FpkElement, w: WittApprox):
         df = ev.df_n_at(ev.xpoint(zbar, w), n)
@@ -539,9 +571,8 @@ def check_prop_reduction(
     """Riemann-sum integral mod p against li_n(zbar)/(1 - zbar^p) in F_{p^k}."""
     report_mod.check_weight("proposition1", p, n, 0)
     A = default_precision(n) if A is None else A
-    ctx = UnramifiedCtx(p, k, A)
-    ev = PolylogEvaluator(ctx, m, max_weight=n)
-    field = ctx.residue_field
+    ev = evaluator(p, k, A, m, n)
+    field = ev.ctx.residue_field
 
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
         lhs = residue(ev.li_p_riemann(ev.xpoint(zbar, w).z, n))
@@ -549,7 +580,7 @@ def check_prop_reduction(
         return report_mod.residue_record(lhs, rhs)
 
     return report_mod.sampled_report(
-        "proposition1", {"p": p, "n": n, "k": k, "A": A, "m": ev.m}, ctx, measure,
+        "proposition1", {"p": p, "n": n, "k": k, "A": A, "m": ev.m}, ev.ctx, measure,
         samples, seed, jobs, points,
     )
 
@@ -577,9 +608,8 @@ def check_corollary(
     """
     report_mod.check_weights("corollary", p, ns, 1)
     A = default_precision(max(ns)) if A is None else A
-    ctx = UnramifiedCtx(p, k, A)
-    ev = PolylogEvaluator(ctx, m, max_weight=max(ns))
-    field = ctx.residue_field
+    ev = evaluator(p, k, A, m, max(ns))
+    field = ev.ctx.residue_field
     minus_one = -field.one()
     walk = unit_powers(p, k)
     order = len(walk)
@@ -605,7 +635,7 @@ def check_corollary(
         i, j = index[ab.coeffs], index[(field.one() - ab).coeffs]
         items += [({"alphabar": list(ab.coeffs), "n": n}, (ab, n, i, j)) for n in ns]
     return report_mod.assemble("corollary", {"p": p, "k": k, "ns": list(ns), "A": A, "m": m},
-                               ctx, report_mod.records(items, measure))
+                               ev.ctx, report_mod.records(items, measure))
 
 
 def check_maincong(
@@ -625,9 +655,8 @@ def check_maincong(
     report_mod.check_weight("maincong", p, n, 0, gap=1)
     report_mod.check_order("maincong", M)
     A = default_precision(n) if A is None else A
-    ctx = UnramifiedCtx(p, k, A)
-    ev = PolylogEvaluator(ctx, m, max_weight=n, series_order=M)
-    field = ctx.residue_field
+    ev = evaluator(p, k, A, m, n, M)
+    field = ev.ctx.residue_field
     inv_fact = [field.element(math.factorial(j) % p).inverse() for j in range(n + 1)]
 
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
@@ -647,7 +676,7 @@ def check_maincong(
     if M is not None:
         params["M"] = M
     return report_mod.sampled_report(
-        "maincong", params, ctx, measure, samples, seed, jobs, points,
+        "maincong", params, ev.ctx, measure, samples, seed, jobs, points,
     )
 
 
@@ -678,16 +707,15 @@ def check_g_valuations(
     if count < 1:
         raise report_mod.ConfigError(f"g-valuation needs at least one residue, got {count}")
     A = default_precision(n) if A is None else A
-    ctx = UnramifiedCtx(p, k, A)
-    ev = PolylogEvaluator(ctx, m, max_weight=n, series_order=M)
+    ev = evaluator(p, k, A, m, n, M)
     rng = SplitMix64(seed)
     total = p**k - 2
     if total <= count:
-        residues = [ctx.residue_field.from_int(t) for t in range(2, p**k)]
+        residues = [ev.ctx.residue_field.from_int(t) for t in range(2, p**k)]
     else:
         seen = []
         while len(seen) < count:
-            zb = sample_zbar(ctx, rng)
+            zb = sample_zbar(ev.ctx, rng)
             if all(zb != s for s in seen):
                 seen.append(zb)
         residues = seen
@@ -709,7 +737,7 @@ def check_g_valuations(
     if M is not None:
         params["M"] = M
     return report_mod.assemble(
-        "g-valuation", params, ctx, report_mod.records(items, measure),
+        "g-valuation", params, ev.ctx, report_mod.records(items, measure),
     )
 
 
@@ -727,17 +755,16 @@ def check_functional_equation(
     """F_n(z) + (-1)^n F_n(1/z) = 0 and F_n = -n L_n - L_{n-1} log z."""
     report_mod.check_weight("funceq", p, n, 2, gap=1)
     A = default_precision(n) if A is None else A
-    ctx = UnramifiedCtx(p, k, A)
-    ev = PolylogEvaluator(ctx, m, max_weight=n)
+    ev = evaluator(p, k, A, m, n)
     sign = (-1) ** n
 
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
         x = ev.xpoint(zbar, w)
         fz = ev.f_n_at(x, n)
         finv = ev.f_n_at(x.inverse_point(), n)
-        inversion_ok = report_mod.agree(fz, ctx.from_int(-sign) * finv)
+        inversion_ok = report_mod.agree(fz, ev.ctx.from_int(-sign) * finv)
         logz = ev.log_at(x)
-        viaL = ctx.from_int(-n) * ev.big_l_at(x, n) - ev.big_l_at(x, n - 1) * logz
+        viaL = ev.ctx.from_int(-n) * ev.big_l_at(x, n) - ev.big_l_at(x, n - 1) * logz
         l_route_ok = report_mod.agree(fz, viaL)
         return {"inversionOk": inversion_ok, "lRouteOk": l_route_ok,
                 "pass": inversion_ok and l_route_ok}
@@ -745,5 +772,5 @@ def check_functional_equation(
     return report_mod.sampled_report(
         "functional-equation",
         {"p": p, "n": n, "k": k, "A": A, "m": ev.m, "checkDigits": report_mod.CHECK_DIGITS},
-        ctx, measure, samples, seed, jobs, points,
+        ev.ctx, measure, samples, seed, jobs, points,
     )

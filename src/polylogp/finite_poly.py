@@ -51,6 +51,8 @@ def poly_mul(a: tuple, b: tuple, h: tuple, pm: int) -> tuple:
 
 def poly_pow(a: tuple, e: int, h: tuple, pm: int) -> tuple:
     """a^e in (Z/pm)[x]/(h) by square-and-multiply, for e >= 0."""
+    if len(h) == 2:  # k = 1: Z/pm itself
+        return (pow(a[0], e, pm),)
     result = (1,) + (0,) * (len(h) - 2)
     base = a
     while e:
@@ -123,6 +125,8 @@ def poly_inverse(a: tuple, h: tuple, p: int, r: int) -> tuple:
     abar = tuple([c % p for c in a])
     if not any(abar):
         raise ZeroDivisionError("inverse of a vector that is 0 mod p")
+    if len(h) == 2:  # k = 1: the inverse mod p^r is unique
+        return (pow(a[0], -1, p**r),)
     c = (1,) + (0,) * (len(h) - 2)
     for e in range(1, len(h) - 1):
         c = poly_mul(c, poly_frobenius(abar, e, h, p, 1), h, p)

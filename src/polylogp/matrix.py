@@ -123,20 +123,32 @@ CHECKS = {spec.name: spec for spec in (
 def run_matrix(kind: str = "full", seed: int = DEFAULT_SEED, jobs: int = 1,
                progress=None) -> dict:
     """Run every check over its matrix; returns an aggregate report.  The run
-    is serial, so ``jobs`` must be 1."""
+    is serial, so ``jobs`` must be 1.
+
+    The cells run stably sorted by their (p, k, n), a missing key read as
+    0, and ``progress`` sees each report in that order as its cell
+    finishes, while ``reports`` keeps table order.  In that order the 2
+    slots of ``coleman.shared_evaluators`` build each disc series and
+    measure sum once: the cells at (p, k, n) read the evaluator of weight n
+    (1 at n = 0), delprop that of weight n + 1, which the cells at n + 1
+    read next, and the corollary its own (m = 2)."""
     if kind not in ("full", "small"):
         raise report_mod.ConfigError(f"unknown matrix {kind!r}: expected 'full' or 'small'")
     if jobs != 1:
         raise report_mod.ConfigError(f"verify all runs serially: jobs must be 1, "
                                      f"got {jobs}")
-    reports = []
+    cells = []
     for spec in CHECKS.values():
         knobs = {"seed": seed} if "seed" in spec.knobs else {}
-        for cell in spec.full if kind == "full" else spec.small:
-            rep = spec.run(**cell, **knobs)
-            reports.append(rep)
+        cells += [(spec, {**cell, **knobs})
+                  for cell in (spec.full if kind == "full" else spec.small)]
+    reports = [None] * len(cells)
+    with coleman.shared_evaluators():
+        for i in sorted(range(len(cells)), key=lambda i: [cells[i][1].get(x, 0) for x in "pkn"]):
+            spec, kwargs = cells[i]
+            reports[i] = spec.run(**kwargs)
             if progress is not None:
-                progress(rep)
+                progress(reports[i])
     return {
         "schemaVersion": report_mod.SCHEMA_VERSION,
         "command": "all",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coleman import PolylogEvaluator, default_precision, log_sum
+from .coleman import default_precision, evaluator, log_sum
 from .finite_poly import FpkElement
 from .identities import e_coeffs
 from .padic_core import UnramifiedCtx, WittApprox, residue
@@ -92,8 +92,8 @@ def delprop_check(
     report_mod.check_weight("delprop", p, n, 0, gap=2)
     report_mod.check_order("delprop", M)
     A = default_precision(n + 1) if A is None else A
-    ctx = UnramifiedCtx(p, k, A)
-    ev = PolylogEvaluator(ctx, m, max_weight=n + 1)
+    ev = evaluator(p, k, A, m, n + 1)
+    ctx = ev.ctx
     Mf = default_f_order(A, n + 1) if M is None else M
     # the weight of log^j(S) f_{n+1-j} is (-1)^{n-j} (n-j)! C(n, n-j) = (-1)^{n-j} n!/j!
     weights = [(-1) ** (n - j) * math.perm(n, n - j) for j in range(n + 1)]
@@ -139,8 +139,8 @@ def f_lemmas_check(
     report_mod.check_order("f-lemmas", M)
     korder = max(n, 1)  # >= n, so it also sets the digits for f_n
     A = default_precision(korder) if A is None else A
-    ctx = UnramifiedCtx(p, k, A)
-    ev = PolylogEvaluator(ctx, max_weight=korder)
+    ev = evaluator(p, k, A, None, korder)
+    ctx = ev.ctx
     Mf = default_f_order(A, korder) if M is None else M
     inv_fact = ctx.residue_field.element(math.factorial(n) % p).inverse()
 
@@ -178,18 +178,17 @@ def e_recover_check(
     the closed-form combination of weight n at sampled points."""
     report_mod.check_weight("e-recover", p, n, 2, gap=1)
     A = default_precision(n) if A is None else A
-    ctx = UnramifiedCtx(p, k, A)
-    ev = PolylogEvaluator(ctx, m, max_weight=n)
+    ev = evaluator(p, k, A, m, n)
     ecs = e_coeffs(n)
     weights = [ecs[n - j] for j in range(n)]  # e_m on log^{n-m}(z) L_m(z)
 
     def measure(zbar: FpkElement, w: WittApprox) -> dict:
         x = ev.xpoint(zbar, w)
-        lhs = log_sum(ctx, ev.log_at(x), weights, lambda j: ev.big_l_at(x, n - j))
+        lhs = log_sum(ev.ctx, ev.log_at(x), weights, lambda j: ev.big_l_at(x, n - j))
         return report_mod.value_record(lhs, ev.f_n_at(x, n))
 
     return report_mod.sampled_report(
         "e-recover", {"p": p, "n": n, "k": k, "A": A, "m": ev.m,
                       "checkDigits": report_mod.CHECK_DIGITS},
-        ctx, measure, samples, seed, jobs, points,
+        ev.ctx, measure, samples, seed, jobs, points,
     )

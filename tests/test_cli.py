@@ -1,16 +1,20 @@
 """Exit codes, output formats, determinism, replay, flag precedence."""
 
 import argparse
+import contextlib
 import hashlib
 import inspect
+import io
 import json
+import weakref
 
 import pytest
 
+from polylogp import coleman, matrix
 from polylogp.cli import KNOBS, build_parser, main
 from polylogp.matrix import CHECKS, DEFAULT_SEED, run_matrix
 from polylogp.power_series import TruncSeries
-from polylogp.report import to_json
+from polylogp.report import text_summary, to_json
 
 from test_power_series import _refuted_degrees
 from test_rng import deadline
@@ -501,10 +505,65 @@ def _cell_argv(cell: dict) -> list:
     return argv
 
 
-def test_a_full_cell_alone_gives_its_matrix_report(capsys):
+@pytest.fixture(scope="module")
+def full_run():
+    """One ``verify all --matrix full --format text`` run, which the tests
+    below share: its aggregate report, its stdout, the series it evaluated,
+    each measure-sum base and disc-series weight built (with the key of its
+    evaluator), and the live evaluators at each progress callback."""
+    run = {"series": {}, "bases": [], "weights": [], "held": []}
+    live = weakref.WeakSet()
+    Evaluator = coleman.PolylogEvaluator
+    init, measure_base, g_series = Evaluator.__init__, Evaluator._measure_base, Evaluator.g_series
+    eval_at, run_matrix_ = TruncSeries.eval_at, matrix.run_matrix
+
+    def key(ev):
+        return ev.ctx.p, ev.ctx.k, ev.ctx.A, ev.m, ev.series_order
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.add(self)
+
+    def recording_measure_base(self, z):
+        base = measure_base(self, z)
+        run["bases"].append((key(self), frozenset(zi.coeffs for zi in base.orbit)))
+        return base
+
+    def recording_g_series(self, alpha, n):
+        before = set(self._g.get(alpha.coeffs, ()))
+        series = g_series(self, alpha, n)
+        built = self._g[alpha.coeffs].keys() - before
+        run["weights"] += [(key(self), alpha.coeffs, j) for j in built]
+        return series
+
+    def recording_eval_at(self, w, target):
+        run["series"][id(self)] = self
+        return eval_at(self, w, target)
+
+    def recording_matrix(kind, seed, progress):
+        def counted(rep):
+            run["held"].append(len(live))
+            progress(rep)
+
+        run["aggregate"] = run_matrix_(kind, seed=seed, progress=counted)
+        run["liveAfter"] = len(live)
+        return run["aggregate"]
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as out:
+        mp.setattr(Evaluator, "__init__", recording_init)
+        mp.setattr(Evaluator, "_measure_base", recording_measure_base)
+        mp.setattr(Evaluator, "g_series", recording_g_series)
+        mp.setattr(TruncSeries, "eval_at", recording_eval_at)
+        mp.setattr(matrix, "run_matrix", recording_matrix)
+        run["code"] = main(["verify", "all", "--matrix", "full", "--format", "text"])
+    run["stdout"] = out.getvalue()
+    return run
+
+
+def test_a_full_cell_alone_gives_its_matrix_report(capsys, full_run):
     # no --samples and no --seed: each takes the driver's default, which the
     # full matrix takes too
-    reports = iter(run_matrix("full")["reports"])
+    reports = iter(full_run["aggregate"]["reports"])
     for spec in CHECKS.values():
         first = [next(reports) for _ in spec.full][0]
         code, out, _ = run(capsys, "verify", spec.name, *_cell_argv(spec.full[0]),
@@ -519,19 +578,41 @@ def test_small_matrix_canonical_json_is_pinned():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SMALL_MATRIX_SHA256
 
 
-def test_full_matrix_is_pinned_and_keeps_every_series_tail_bound(monkeypatch):
+def test_full_matrix_is_pinned_and_keeps_every_series_tail_bound(full_run):
     # the release gate's output, and no series it evaluates (disc series and
     # f-series) holds a stored coefficient that refutes its installed tail bound
-    evaluated = {}
-    eval_at = TruncSeries.eval_at
-
-    def recording_eval_at(self, w, target):
-        evaluated[id(self)] = self
-        return eval_at(self, w, target)
-
-    monkeypatch.setattr(TruncSeries, "eval_at", recording_eval_at)
-    text = to_json(run_matrix("full", seed=DEFAULT_SEED))
+    text = to_json(full_run["aggregate"])
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FULL_MATRIX_SHA256
-    assert len(evaluated) > 100
-    refuted = [(s.ctx, j) for s in evaluated.values() for j in _refuted_degrees(s)]
+    assert len(full_run["series"]) > 100
+    refuted = [(s.ctx, j) for s in full_run["series"].values() for j in _refuted_degrees(s)]
     assert refuted == []
+
+
+def test_full_matrix_streams_its_reports_in_run_order_and_keeps_table_order(full_run):
+    # text streams one summary per cell as it finishes, grouped by (p, k, n),
+    # a missing key read as 0; the aggregate, and so its json, keeps table order
+    table = [(spec, cell) for spec in CHECKS.values() for cell in spec.full]
+    reports = full_run["aggregate"]["reports"]
+    assert len(reports) == len(table) == 128
+    for rep, (spec, cell) in zip(reports, table):
+        assert all(rep["params"][key] == cell[key] for key in ("p", "k", "n") if key in cell)
+    order = sorted(range(len(table)), key=lambda i: [table[i][1].get(x, 0) for x in "pkn"])
+    streamed = "".join(text_summary(reports[i]) + "\n" for i in order)
+    assert full_run["stdout"].startswith(streamed)
+    assert full_run["stdout"][len(streamed):].startswith("matrix=full reports=128 ")
+    assert full_run["code"] == 1  # the inversion k = 2 cells fail by design
+
+
+def test_full_matrix_builds_each_measure_sum_and_disc_series_once(full_run):
+    # one weight-free measure base per (evaluator key, Frobenius orbit) and one
+    # disc-series weight per (evaluator key, alpha): 1,918 and 2,291 builds
+    # when every cell had its own evaluators
+    assert len(full_run["bases"]) == len(set(full_run["bases"])) == 1637
+    assert len(full_run["weights"]) == len(set(full_run["weights"])) == 1411
+
+
+def test_full_matrix_holds_at_most_the_shared_slots(full_run):
+    # the bound on what the shared memos keep: evaluators live only in the
+    # slots between cells, and none outlives the run
+    assert max(full_run["held"]) == coleman.SHARED_SLOTS
+    assert full_run["liveAfter"] == 0

@@ -1,14 +1,15 @@
 """Polylogarithm routes against each other and against finite-field oracles."""
 
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polylogp import coleman, finite_poly, padic_core
-from polylogp.matrix import CHECKS
+from polylogp import coleman, finite_poly, padic_core, section3
+from polylogp.matrix import CHECKS, run_matrix
 from polylogp.power_series import TruncSeries
 from polylogp.coleman import (
     PolylogEvaluator,
@@ -623,3 +624,64 @@ def test_factorial_valuation():
     assert factorial_valuation(0, 5) == 0
     assert factorial_valuation(25, 5) == 6
     assert factorial_valuation(10, 3) == 4
+
+
+# -- evaluators shared within a matrix run ---------------------------------------------
+
+
+def test_outside_a_matrix_every_driver_call_gets_fresh_evaluators(monkeypatch):
+    # so a monkeypatch or a build count sees every build of a direct call
+    built = []
+    init = PolylogEvaluator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(PolylogEvaluator, "__init__", recording_init)
+    verify_theorem(5, 2, samples=3)
+    check_maincong(5, 2, samples=3)  # the theorem's key (p, k, A, m, M)
+    assert len(built) == 2 and built[0].ctx is not built[1].ctx
+    assert coleman.evaluator(5, 1, 6, None, 2) is not coleman.evaluator(5, 1, 6, None, 2)
+
+
+def test_shared_evaluators_serve_one_per_resolved_key_and_keep_the_most_recent():
+    with coleman.shared_evaluators():
+        ev = coleman.evaluator(5, 1, 6, None, 2)
+        # max_weight only sets the defaults of m and M
+        same = coleman.evaluator(5, 1, 6, 4, 3, M=coleman.default_series_order(5, 2, 6))
+        assert same is ev and ev.m == 4
+        assert coleman.evaluator(5, 1, 6, None, 2, trace=print) is not ev
+        others = [coleman.evaluator(5, 1, 6, m, 2) for m in range(5, 5 + coleman.SHARED_SLOTS)]
+        assert coleman.evaluator(5, 1, 6, others[0].m, 2) is others[0]  # still held
+        assert coleman.evaluator(5, 1, 6, None, 2) is not ev  # evicted
+    assert coleman.evaluator(5, 1, 6, None, 2) is not coleman.evaluator(5, 1, 6, None, 2)
+
+
+def test_the_shared_evaluators_are_released_when_a_driver_raises(monkeypatch):
+    live = weakref.WeakSet()
+    init = PolylogEvaluator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.add(self)
+
+    def broken(**kwargs):
+        assert len(live) > 0  # the cells run before this one left evaluators
+        raise RuntimeError("a driver fails mid-run")
+
+    monkeypatch.setattr(PolylogEvaluator, "__init__", recording_init)
+    monkeypatch.setattr(section3, "f_lemmas_check", broken)
+    with pytest.raises(RuntimeError, match="mid-run"):
+        run_matrix("small")
+    assert len(live) == 0
+    assert coleman.evaluator(5, 1, 6, None, 2) is not coleman.evaluator(5, 1, 6, None, 2)
+
+
+def test_a_traced_theorem_in_a_matrix_run_traces_every_build():
+    alone, shared = [], []
+    report = verify_theorem(5, 2, samples=4, trace=alone.append)
+    with coleman.shared_evaluators():
+        verify_theorem(5, 2, samples=4)  # fills the shared evaluator of this key
+        assert verify_theorem(5, 2, samples=4, trace=shared.append) == report
+    assert shared == alone != []

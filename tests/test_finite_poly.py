@@ -225,6 +225,53 @@ def test_one_frobenius_and_one_inverse_at_every_precision(p, k):
                 poly_inverse(zero, h, p, r)
 
 
+
+def _poly_pow_by_squaring(a, e, h, pm):
+    """a^e by square-and-multiply at every k: the oracle of ``poly_pow``,
+    which takes the builtin ``pow`` at k = 1."""
+    result = (1,) + (0,) * (len(h) - 2)
+    while e:
+        if e & 1:
+            result = finite_poly.poly_mul(result, a, h, pm)
+        a = finite_poly.poly_mul(a, a, h, pm)
+        e >>= 1
+    return result
+
+
+def _poly_inverse_by_norm(a, h, p, r):
+    """The norm inverse mod p, Newton-lifted to p^r, at every k: the oracle of
+    ``poly_inverse``, which takes the builtin ``pow`` at k = 1."""
+    mul = finite_poly.poly_mul
+    abar = tuple([c % p for c in a])
+    c = (1,) + (0,) * (len(h) - 2)
+    for e in range(1, len(h) - 1):
+        c = mul(c, poly_frobenius(abar, e, h, p, 1), h, p)
+    n_inv = pow(mul(abar, c, h, p)[0], -1, p)
+    x = tuple([v * n_inv % p for v in c])
+    pm, digits = p**r, 1
+    while digits < r:
+        ax = mul(a, x, h, pm)
+        x = mul(x, ((2 - ax[0]) % pm, *[-v % pm for v in ax[1:]]), h, pm)
+        digits *= 2
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((3, 5, 7, 13)), st.integers(1, 3), st.integers(1, 6), st.data())
+def test_powers_and_inverses_match_the_ring_loops(p, k, r, data):
+    # field for field, also where the builtins serve k = 1; a vector that is
+    # 0 mod p has no inverse
+    h = lowest_irreducible(p, k)
+    pm = p**r
+    a = tuple(data.draw(st.integers(0, pm - 1)) for _ in range(k))
+    e = data.draw(st.integers(0, 2 * pm))
+    assert poly_pow(a, e, h, pm) == _poly_pow_by_squaring(a, e, h, pm)
+    if any(c % p for c in a):
+        assert poly_inverse(a, h, p, r) == _poly_inverse_by_norm(a, h, p, r)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            poly_inverse(a, h, p, r)
+
 WALK_FIELDS = [(3, 1), (13, 1), (13, 2), (5, 3), (7, 3), (5, 4), (3, 5)]
 
 
